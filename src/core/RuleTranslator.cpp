@@ -320,8 +320,9 @@ private:
     const bool SavedDirtyFlags = FlagsDirty;
     const auto [Begin, End] = flagSavePoint();
     FlagsDirty = SavedDirtyFlags; // state forks; restore for the twin exit
-    Out.Chains[Slot].FlagSaveBegin = Begin == End ? -1 : Begin;
-    Out.Chains[Slot].FlagSaveEnd = End;
+    const bool NoSave = Begin == End;
+    Out.Chains[Slot].FlagSaveBegin = NoSave ? -1 : Begin;
+    Out.Chains[Slot].FlagSaveEnd = NoSave ? -1 : End;
     E.setClass(CostClass::Glue);
     E.chainSlot(Slot, Target);
     E.stEnvI(sys::envSlotReg(15), Target);

@@ -19,33 +19,31 @@ int CodeCache::find(uint32_t Pc, uint32_t MmuIdx, uint32_t Asid) const {
   return It == Index.end() ? -1 : It->second;
 }
 
-int CodeCache::insert(host::HostBlock Block, uint32_t MmuIdx,
-                      uint32_t Asid) {
+int CodeCache::insert(std::shared_ptr<const host::HostBlock> Block,
+                      uint32_t MmuIdx, uint32_t Asid) {
+  const host::HostBlock &B = *Block;
   const int Id = BaseId + static_cast<int>(Entries.size());
-  const uint64_t K = key(Block.GuestPc, MmuIdx, Asid & 0xFFu);
+  const uint64_t K = key(B.GuestPc, MmuIdx, Asid & 0xFFu);
   assert(Index.find(K) == Index.end() && "key already translated");
-
-  Entry E;
-  E.Key = K;
-  E.Asid = Asid & 0xFFu;
-  E.FirstPage = Block.GuestPc >> 12;
-  // A block's code may straddle into the next page; index every page it
-  // covers so invalidatePage() finds it from either side.
-  const uint32_t LastByte =
-      Block.GuestPc + (Block.NumGuestInstrs ? Block.NumGuestInstrs * 4 - 1
-                                            : 0);
-  E.LastPage = LastByte >> 12;
 
   if (!SeenKeys.insert(K).second) {
     ++Stats.Retranslations;
-    Stats.RetranslatedGuestInstrs += Block.NumGuestInstrs;
+    Stats.RetranslatedGuestInstrs += B.NumGuestInstrs;
   }
 
-  E.Block = std::make_shared<host::HostBlock>(std::move(Block));
-  for (uint32_t P = E.FirstPage; P <= E.LastPage; ++P)
+  // A block's code may straddle into the next page; index every page it
+  // covers so invalidatePage() finds it from either side.
+  const uint32_t FirstPage = B.GuestPc >> 12;
+  const uint32_t LastPage =
+      (B.GuestPc + (B.NumGuestInstrs ? B.NumGuestInstrs * 4 - 1 : 0)) >> 12;
+  for (uint32_t P = FirstPage; P <= LastPage; ++P)
     PageIndex[P].push_back(Id);
-  AsidIndex[E.Asid].push_back(Id);
+  AsidIndex[Asid & 0xFFu].push_back(Id);
   Index[K] = Id;
+  Entry E;
+  E.Block = std::move(Block);
+  E.Key = K;
+  E.Asid = Asid & 0xFFu;
   Entries.push_back(std::move(E));
   ++LiveBlocks;
   return Id;
@@ -55,30 +53,23 @@ void CodeCache::invalidateOne(int TbId) {
   Entry *E = entry(TbId);
   assert(E && E->Block && "invalidating a dead id");
 
-  // Unlink every incoming chain that still targets this block, restoring
-  // the flag-save code the chain-time elision killed: the predecessor's
-  // exit now re-enters the emulator, which needs the flags in env.
+  // Unlink every incoming chain that still targets this block, reverting
+  // its flag-save elision: the predecessor's exit now re-enters the
+  // emulator, which needs the flags in env.
   uint64_t Unlinked = 0;
   for (const auto &[FromId, Slot] : E->Incoming) {
     Entry *F = entry(FromId);
     if (!F || !F->Block)
       continue; // predecessor died first; edge is stale
-    if (F->Block->Chains[Slot].TargetTb != TbId)
+    host::ChainLinks &L = F->Links;
+    if (L.Target[Slot] != TbId)
       continue; // slot was re-pointed after a previous unlink
-    host::HostBlock *FB = privateBlock(*F); // about to mutate
-    host::HostBlock::Chain &Ch = FB->Chains[Slot];
-    Ch.TargetTb = -1;
+    L.Target[Slot] = -1;
     ++Stats.ChainsUnlinked;
     ++Unlinked;
-    if (Ch.FlagSaveBegin >= 0) {
-      bool Revived = false;
-      for (int I = Ch.FlagSaveBegin; I < Ch.FlagSaveEnd; ++I)
-        if (FB->Code[I].Dead) {
-          FB->Code[I].Dead = false;
-          Revived = true;
-        }
-      if (Revived)
-        ++Stats.ElisionsReverted;
+    if (L.Elided[Slot]) {
+      L.Elided[Slot] = false;
+      ++Stats.ElisionsReverted;
     }
   }
   E->Incoming.clear();
@@ -143,34 +134,29 @@ void CodeCache::invalidatePage(uint32_t PageVa) {
 }
 
 bool CodeCache::chain(int FromTb, int Slot, int ToTb, bool ElideFlagSave) {
-  assert(Slot >= 0 && Slot < 2 && "bad chain slot");
   Entry *From = entry(FromTb);
   Entry *To = entry(ToTb);
   // Either id may have gone stale between the exit that requested the
-  // chain and this patch (a translation-triggered or partial
-  // invalidation); refuse rather than patch through a dead id.
-  if (!From || !From->Block || !To || !To->Block ||
-      From->Block->Chains[Slot].TargetTb >= 0) {
+  // chain and this link (a translation-triggered or partial
+  // invalidation); refuse rather than link through a dead id. The slot
+  // comes from the exiting block's code, so it is range-checked too.
+  if (Slot < 0 || Slot > 1 || !From || !From->Block || !To || !To->Block ||
+      From->Links.Target[Slot] >= 0) {
     ++Stats.StaleChainRequests;
     return false;
   }
 
-  host::HostBlock *FB = privateBlock(*From); // about to patch the slot
-  host::HostBlock::Chain &Ch = FB->Chains[Slot];
-  Ch.TargetTb = ToTb;
+  From->Links.Target[Slot] = ToTb;
   To->Incoming.emplace_back(FromTb, Slot);
   ++Stats.ChainsMade;
+  const host::HostBlock::Chain &Ch = From->Block->Chains[Slot];
   const bool Elided = ElideFlagSave && Ch.FlagSaveBegin >= 0;
   RDBT_TRACE(Sink_, obs::EventKind::ChainPatch, FromTb, ToTb, Elided);
   if (!Elided)
     return true;
+  From->Links.Elided[Slot] = true;
   ++Stats.ChainsWithElision;
-  for (int I = Ch.FlagSaveBegin; I < Ch.FlagSaveEnd; ++I) {
-    if (!FB->Code[I].Dead) {
-      FB->Code[I].Dead = true;
-      ++Stats.ElidedSyncInstrs;
-    }
-  }
+  Stats.ElidedSyncInstrs += Ch.FlagSaveEnd - Ch.FlagSaveBegin;
   return true;
 }
 
@@ -179,42 +165,14 @@ const host::HostBlock *CodeCache::block(int TbId) const {
   return E ? E->Block.get() : nullptr;
 }
 
-host::HostBlock *CodeCache::privateBlock(Entry &E) {
-  if (E.Block.use_count() > 1) {
-    E.Block = std::make_shared<host::HostBlock>(*E.Block);
-    ++Stats.CowBlockCopies;
-  }
-  return E.Block.get();
-}
-
-host::HostBlock *CodeCache::mutableBlock(int TbId) {
-  Entry *E = entry(TbId);
-  return E && E->Block ? privateBlock(*E) : nullptr;
-}
-
 std::shared_ptr<const CodeCache::Image> CodeCache::capture() const {
-  auto Img = std::make_shared<Image>();
-  Img->Entries = Entries; // blocks shared (shared_ptr copies), not cloned
-  Img->BaseId = BaseId;
-  Img->LiveBlocks = LiveBlocks;
-  Img->Index = Index;
-  Img->PageIndex = PageIndex;
-  Img->AsidIndex = AsidIndex;
-  Img->SeenKeys = SeenKeys;
-  Img->Stats = Stats;
-  return Img;
+  // Blocks shared, link table copied.
+  return std::make_shared<Image>(static_cast<const Image &>(*this));
 }
 
 void CodeCache::adopt(const Image &Img) {
   assert(Entries.empty() && BaseId == 0 && LiveBlocks == 0 &&
          "adopt() targets a freshly constructed cache");
-  Entries = Img.Entries; // shares the image's blocks until first patch
-  BaseId = Img.BaseId;
-  LiveBlocks = Img.LiveBlocks;
-  Index = Img.Index;
-  PageIndex = Img.PageIndex;
-  AsidIndex = Img.AsidIndex;
-  SeenKeys = Img.SeenKeys;
-  Stats = Img.Stats;
+  static_cast<Image &>(*this) = Img; // shares blocks, copies links
   Stats.AdoptedTbs += LiveBlocks;
 }

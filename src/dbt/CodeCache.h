@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The translated-code cache: host blocks keyed by (guest PC, MMU index,
-/// ASID), with block chaining and chain-time patching (including the
-/// inter-TB flag-save elision of §III-C).
+/// The translated-code cache: immutable host blocks keyed by (guest PC,
+/// MMU index, ASID), plus a per-cache link table that records block
+/// chaining and the chain-time inter-TB flag-save elision of §III-C.
 ///
 /// Three structural properties carry the ASID-aware invalidation design
 /// (see DESIGN.md §7):
@@ -21,16 +21,19 @@
 ///
 ///  * **Chain unlinking.** Every chain edge is recorded in the target's
 ///    reverse-edge list. Invalidating a block resets each incoming chain
-///    slot to the unresolved state and resurrects any flag-save code the
-///    chain-time elision had marked dead, so surviving predecessors fall
-///    back to the translate-and-patch path instead of jumping into freed
-///    code.
+///    slot to the unresolved state and clears its elided bit, so
+///    surviving predecessors save their flags again and fall back to the
+///    translate-and-chain path instead of jumping into freed code.
 ///
 ///  * **Stable, never-reused TB ids.** Ids are monotonically increasing
 ///    across the cache's whole lifetime (a full flush retires the id range
 ///    instead of restarting it), so a stale id held by the engine across
 ///    an invalidation can never alias a newer block: block() simply
-///    returns nullptr and chain() refuses to patch.
+///    returns nullptr and chain() refuses to link.
+///
+/// Translated code is never rewritten: chain() and invalidation only flip
+/// fields of the link table, so a block is shared as-is by a snapshot
+/// image, every fork of it, the persistent-cache save set and store.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,14 +65,13 @@ struct CacheStats {
   uint64_t ChainsMade = 0;
   uint64_t ChainsWithElision = 0;
   uint64_t ChainsUnlinked = 0;      ///< chain slots reset by invalidation
-  uint64_t ElisionsReverted = 0;    ///< elided flag-saves resurrected
+  uint64_t ElisionsReverted = 0;    ///< elisions undone by unlinking
   uint64_t StaleChainRequests = 0;  ///< chain() calls refused (stale ids)
-  uint64_t ElidedSyncInstrs = 0;    ///< §III-C: sync instrs marked dead
+  uint64_t ElidedSyncInstrs = 0;    ///< §III-C: sync instrs elided
   /// Snapshot/fork accounting (vm/Snapshot.h). AdoptedTbs counts blocks
-  /// inherited ready-translated from a snapshot image via adopt();
-  /// CowBlockCopies counts blocks privatized because a fork patched a
-  /// chain slot (or unlinked one) in a block still shared with the
-  /// snapshot — the "share TBs read-only, copy on first patch" protocol.
+  /// inherited ready-translated from a snapshot image via adopt().
+  /// CowBlockCopies is always 0: blocks are immutable, so a fork never
+  /// copies one. Kept only because benchmark reports still read it.
   uint64_t AdoptedTbs = 0;
   uint64_t CowBlockCopies = 0;
   /// Persistent-cache accounting (dbt/CodeCacheIo.h). CacheFileHits
@@ -91,51 +93,58 @@ struct CacheStats {
   uint64_t LiveTbs = 0;
 };
 
-class CodeCache : public host::CodeSource {
+/// One slot in a code cache's id space: an immutable block plus the
+/// cache's link state for it. Block is null once invalidated; the
+/// metadata stays so reverse edges can be validated lazily.
+struct CacheEntry {
+  std::shared_ptr<const host::HostBlock> Block;
+  host::ChainLinks Links; ///< chain targets and elided flag-saves
+  uint64_t Key = 0;
+  uint32_t Asid = 0;
+  /// Reverse chain edges: (fromTbId, slot) pairs that chained a direct
+  /// jump to this block. Entries may be stale (the predecessor died or
+  /// re-chained); unlinking validates each one against the live link.
+  std::vector<std::pair<int, int>> Incoming;
+};
+
+/// The whole state of a code cache — entries (blocks shared, link state
+/// copied), id space, lookup indices, retranslation memory, and stats.
+/// CodeCache::capture() freezes one and adopt() re-installs it into a
+/// forked cache; holders only ever pass it around as shared_ptr<const
+/// CacheImage>. Public so dbt/CodeCacheIo.h can serialize and rebuild
+/// images without friending every IO class.
+struct CacheImage {
+  std::vector<CacheEntry> Entries; ///< index = id - BaseId
+  int BaseId = 0;                  ///< ids retired by full flushes
+  size_t LiveBlocks = 0;
+  std::unordered_map<uint64_t, int> Index;
+  /// Page number -> ids of live blocks overlapping that page (pruned
+  /// lazily on the next invalidation touching the page).
+  std::unordered_map<uint32_t, std::vector<int>> PageIndex;
+  /// ASID -> ids of live blocks translated under it.
+  std::unordered_map<uint32_t, std::vector<int>> AsidIndex;
+  /// Every key ever inserted, for retranslation accounting. Survives
+  /// flushes deliberately: translating a key again after any flavor of
+  /// invalidation is the retranslation cost the ASID design removes.
+  std::unordered_set<uint64_t> SeenKeys;
+  CacheStats Stats;
+};
+
+/// The cache keeps its state as a private CacheImage, so capture() and
+/// adopt() copy that state whole.
+class CodeCache : public host::CodeSource, private CacheImage {
 public:
-  /// One slot in the id space. Block is null once invalidated; the
-  /// metadata stays so reverse edges can be validated lazily.
-  ///
-  /// The block is held by shared_ptr so a captured Image (below) can
-  /// share translated code with any number of forked caches: use_count
-  /// == 1 proves this cache is the sole owner and may mutate in place;
-  /// otherwise the mutating paths (chain patching, chain unlinking)
-  /// privatize the block first — see privateBlock(). Public (alongside
-  /// Image and key()) so dbt/CodeCacheIo.h can serialize and rebuild
-  /// images without friending every IO class.
-  struct Entry {
-    std::shared_ptr<host::HostBlock> Block;
-    uint64_t Key = 0;
-    uint32_t Asid = 0;
-    uint32_t FirstPage = 0; ///< guest page numbers covered (inclusive)
-    uint32_t LastPage = 0;
-    /// Reverse chain edges: (fromTbId, slot) pairs that patched a direct
-    /// jump to this block. Entries may be stale (the predecessor died or
-    /// re-chained); unlinking validates each one against the live chain.
-    std::vector<std::pair<int, int>> Incoming;
-  };
-  /// A frozen copy of the whole cache — entries (blocks shared, not
-  /// copied), id space, lookup indices, retranslation memory, and stats —
-  /// produced by capture() and re-installed into forked caches by
-  /// adopt(). Immutable by contract: holders only ever pass it around as
-  /// shared_ptr<const Image>.
-  struct Image {
-    std::vector<Entry> Entries;
-    int BaseId = 0;
-    size_t LiveBlocks = 0;
-    std::unordered_map<uint64_t, int> Index;
-    std::unordered_map<uint32_t, std::vector<int>> PageIndex;
-    std::unordered_map<uint32_t, std::vector<int>> AsidIndex;
-    std::unordered_set<uint64_t> SeenKeys;
-    CacheStats Stats;
-  };
+  using Entry = CacheEntry;
+  using Image = CacheImage;
+  using CacheImage::Stats;
 
   /// Returns the TB id for (Pc, MmuIdx, Asid) or -1.
   int find(uint32_t Pc, uint32_t MmuIdx, uint32_t Asid) const;
 
-  /// Inserts a freshly translated block, returns its TB id. Ids are never
-  /// reused, even across flushes.
-  int insert(host::HostBlock Block, uint32_t MmuIdx, uint32_t Asid);
+  /// Inserts a translated block, unchained, and returns its TB id. Ids
+  /// are never reused, even across flushes.
+  int insert(std::shared_ptr<const host::HostBlock> Block, uint32_t MmuIdx,
+             uint32_t Asid);
 
   /// Drops every translation (MMU regime changes, TLBIALL).
   void flush();
@@ -149,27 +158,27 @@ public:
   void invalidatePage(uint32_t PageVa);
 
   /// Chains \p FromTb's \p Slot to \p ToTb. If \p ElideFlagSave, the
-  /// flag-save region belonging to that exit is marked dead (inter-TB
-  /// optimization); the elided instructions are tallied in
+  /// flag-save range belonging to that exit is marked elided in the link
+  /// table (inter-TB optimization); its instructions are tallied in
   /// Stats.ElidedSyncInstrs. Returns false — counting a stale-chain
-  /// request — when either id no longer names a live block or the slot
-  /// is already patched, so callers holding ids across a partial
-  /// invalidation can never corrupt an unrelated block.
+  /// request — when either id no longer names a live block, the slot is
+  /// out of range, or the slot is already chained, so callers holding
+  /// ids across a partial invalidation can never corrupt an unrelated
+  /// block.
   bool chain(int FromTb, int Slot, int ToTb, bool ElideFlagSave);
 
   const host::HostBlock *block(int TbId) const override;
-  /// Mutable access privatizes a block shared with a snapshot image
-  /// first, exactly like the internal chain-patching paths.
-  host::HostBlock *mutableBlock(int TbId);
+  const host::ChainLinks &links(int TbId) const override {
+    return entry(TbId)->Links;
+  }
 
-  /// Freezes the cache into an immutable Image. Blocks are shared, not
-  /// copied, so a capture is O(metadata); after it, this cache's own
-  /// mutating paths privatize blocks on demand (the capture must stay
-  /// pristine even if the captured session keeps running).
+  /// Freezes the cache into an immutable Image. Blocks are shared and
+  /// only the link table is copied, so a capture is O(metadata) and stays
+  /// pristine however the captured session keeps running.
   std::shared_ptr<const Image> capture() const;
 
   /// Replaces this cache's contents with \p Img (fork construction). The
-  /// warmed blocks arrive ready to execute and chained exactly as at
+  /// shared blocks arrive ready to execute and chained exactly as at
   /// capture time; SeenKeys comes along, so Stats.Retranslations keeps
   /// proving forks do not re-pay translation. Call only on a fresh cache.
   void adopt(const Image &Img);
@@ -182,8 +191,6 @@ public:
   /// and never reads it, so an unattached cache behaves identically.
   void setTraceSink(obs::TraceSink *S) { Sink_ = S; }
 
-  CacheStats Stats;
-
   /// The canonical lookup key: one u64 per (PC, MMU index, ASID) triple.
   /// Public so the persistent-cache store (dbt/CodeCacheIo.h) keys its
   /// lookups identically instead of maintaining a parallel encoding.
@@ -194,20 +201,6 @@ public:
   }
 
 private:
-  std::vector<Entry> Entries; ///< index = id - BaseId
-  int BaseId = 0;             ///< ids retired by full flushes
-  size_t LiveBlocks = 0;
-  std::unordered_map<uint64_t, int> Index;
-  /// Page number -> ids of live blocks overlapping that page (pruned
-  /// lazily on the next invalidation touching the page).
-  std::unordered_map<uint32_t, std::vector<int>> PageIndex;
-  /// ASID -> ids of live blocks translated under it.
-  std::unordered_map<uint32_t, std::vector<int>> AsidIndex;
-  /// Every key ever inserted, for retranslation accounting. Survives
-  /// flushes deliberately: translating a key again after any flavor of
-  /// invalidation is the retranslation cost the ASID design removes.
-  std::unordered_set<uint64_t> SeenKeys;
-
   Entry *entry(int TbId) {
     if (TbId < BaseId)
       return nullptr;
@@ -218,15 +211,9 @@ private:
     return const_cast<CodeCache *>(this)->entry(TbId);
   }
 
-  /// Unlinks incoming chains and frees the block. The caller maintains
+  /// Unlinks incoming chains and drops the block. The caller maintains
   /// the secondary indices.
   void invalidateOne(int TbId);
-
-  /// Returns a mutable pointer to \p E's block, cloning it first when it
-  /// is still shared with a snapshot image (use_count > 1 — safe exactly
-  /// because use_count == 1 proves exclusive ownership; images are
-  /// immutable so nobody else's count can rise concurrently).
-  host::HostBlock *privateBlock(Entry &E);
 
   obs::TraceSink *Sink_ = nullptr; ///< owned by vm::Vm; null when untraced
 };

@@ -147,8 +147,6 @@ void writeInst(Writer &W, const host::HInst &H) {
   W.u8(static_cast<uint8_t>(H.Op));
   W.u8(static_cast<uint8_t>(H.Cc));
   W.u8(static_cast<uint8_t>(H.Cls));
-  // Dead is a chain-time, process-local artifact: always stored clear so
-  // a loaded block starts unelided, exactly like a fresh translation.
   W.u8(static_cast<uint8_t>((H.SetFlags ? 1 : 0) | (H.UseImm ? 2 : 0) |
                             (H.AccIsWrite ? 4 : 0)));
   W.u8(H.Size);
@@ -194,7 +192,6 @@ bool readInst(Reader &R, uint32_t NumCode, host::HInst &H,
   H.SetFlags = (Flags & 1) != 0;
   H.UseImm = (Flags & 2) != 0;
   H.AccIsWrite = (Flags & 4) != 0;
-  H.Dead = false;
   if (H.Dst >= host::NumHostRegs || H.Src >= host::NumHostRegs ||
       H.Src2 >= host::NumHostRegs) {
     Why = "register out of range";
@@ -214,7 +211,13 @@ bool readInst(Reader &R, uint32_t NumCode, host::HInst &H,
     Why = "helper id out of range";
     return false;
   }
-  if (H.Op == host::HOp::ChainSlot && (H.Imm < 0 || H.Imm > 1)) {
+  // The chain slot of a ChainSlot rides in Imm, that of a NeedTranslate
+  // exit in Src; the engine hands the latter to CodeCache::chain().
+  const bool NeedTranslate =
+      H.Op == host::HOp::ExitTb &&
+      H.Imm == static_cast<int32_t>(host::ExitReason::NeedTranslate);
+  if ((H.Op == host::HOp::ChainSlot && (H.Imm < 0 || H.Imm > 1)) ||
+      (NeedTranslate && H.Src > 1)) {
     Why = "chain slot index out of range";
     return false;
   }
@@ -223,6 +226,33 @@ bool readInst(Reader &R, uint32_t NumCode, host::HInst &H,
   if (H.Target < MinTarget || H.Target >= static_cast<int32_t>(NumCode)) {
     Why = "jump target out of range";
     return false;
+  }
+  return true;
+}
+
+/// The structure the host machine relies on instead of asserting: control
+/// never runs off the end of the code, and every flag-save range is one
+/// the chain-time elision can skip whole — it starts at a SyncOp marker
+/// and ends right before its own exit's ChainSlot.
+bool checkBlock(const host::HostBlock &B, std::string &Why) {
+  const host::HOp Last = B.Code.back().Op;
+  if (Last != host::HOp::ExitTb && Last != host::HOp::Jmp) {
+    Why = "block can fall off its end";
+    return false;
+  }
+  const int N = static_cast<int>(B.Code.size());
+  for (int S = 0; S < 2; ++S) {
+    const int Begin = B.Chains[S].FlagSaveBegin;
+    const int End = B.Chains[S].FlagSaveEnd;
+    if (Begin == -1 && End == -1)
+      continue;
+    if (Begin < 0 || Begin >= End || End >= N ||
+        B.Code[Begin].Op != host::HOp::Marker ||
+        B.Code[Begin].Imm != static_cast<int32_t>(host::MarkerKind::SyncOp) ||
+        B.Code[End].Op != host::HOp::ChainSlot || B.Code[End].Imm != S) {
+      Why = "flag-save range out of range";
+      return false;
+    }
   }
   return true;
 }
@@ -260,22 +290,16 @@ bool CodeCacheIo::save(const std::string &Path, const CodeCache::Image &Img,
     Records.u32(B.GuestPc);
     Records.u8(static_cast<uint8_t>((E.Key >> 32) & 1)); // MmuIdx
     Records.u8(B.DefinesFlagsBeforeUse ? 1 : 0);
-    Records.u8(B.StartsWithRestore ? 1 : 0);
-    Records.u8(0);
-    Records.u32(E.Asid);
+    Records.u16(0); // reserved
+    Records.u32(static_cast<uint32_t>(E.Key >> 33) & 0xFF); // ASID
     Records.u32(B.NumGuestInstrs);
     Records.u32(B.NumMemInstrs);
     Records.u32(B.NumSysInstrs);
     Records.u32(B.NumIrqChecks);
     for (const host::HostBlock::Chain &Ch : B.Chains) {
-      // TargetTb is a process-local id — never stored; chains re-resolve
-      // at run time exactly like a cold session's. An empty flag-save
-      // range is stored canonically as (-1, -1): translators may leave a
-      // dangling End (RuleTranslator writes (-1, End) when Begin == End)
-      // that every consumer ignores once Begin is -1.
       Records.u32(Ch.GuestTarget);
       Records.i32(Ch.FlagSaveBegin);
-      Records.i32(Ch.FlagSaveBegin < 0 ? -1 : Ch.FlagSaveEnd);
+      Records.i32(Ch.FlagSaveEnd);
     }
     for (const uint32_t W : B.GuestWords)
       Records.u32(W);
@@ -370,17 +394,18 @@ CacheLoad CodeCacheIo::load(const std::string &Path, const CacheKey &Key,
   if (NumBlocks > MaxBlocks)
     return Bad("block count out of range");
 
-  CodeCache::Image Img;
-  Img.Entries.reserve(NumBlocks);
+  // Blocks enter through the same insert() a live cache uses, so the
+  // image comes out with ids dense from 0, nothing chained, stats zero.
+  CodeCache Cache;
   for (uint32_t I = 0; I < NumBlocks; ++I) {
     uint32_t GuestPc, Asid, NumGuest, NumMem, NumSys, NumIrq;
-    uint8_t MmuIdx, DefFlags, StartsRestore, Pad;
+    uint8_t MmuIdx, DefFlags;
+    uint16_t Reserved;
     if (!R.u32(GuestPc) || !R.u8(MmuIdx) || !R.u8(DefFlags) ||
-        !R.u8(StartsRestore) || !R.u8(Pad) || !R.u32(Asid) ||
-        !R.u32(NumGuest) || !R.u32(NumMem) || !R.u32(NumSys) ||
-        !R.u32(NumIrq))
+        !R.u16(Reserved) || !R.u32(Asid) || !R.u32(NumGuest) ||
+        !R.u32(NumMem) || !R.u32(NumSys) || !R.u32(NumIrq))
       return Bad("truncated block header");
-    if (MmuIdx > 1 || DefFlags > 1 || StartsRestore > 1 || Pad != 0)
+    if (MmuIdx > 1 || DefFlags > 1 || Reserved != 0)
       return Bad("block header field out of range");
     if (Asid > 0xFF)
       return Bad("ASID out of range");
@@ -394,13 +419,10 @@ CacheLoad CodeCacheIo::load(const std::string &Path, const CacheKey &Key,
     B->NumSysInstrs = NumSys;
     B->NumIrqChecks = NumIrq;
     B->DefinesFlagsBeforeUse = DefFlags != 0;
-    B->StartsWithRestore = StartsRestore != 0;
-    for (host::HostBlock::Chain &Ch : B->Chains) {
+    for (host::HostBlock::Chain &Ch : B->Chains)
       if (!R.u32(Ch.GuestTarget) || !R.i32(Ch.FlagSaveBegin) ||
           !R.i32(Ch.FlagSaveEnd))
         return Bad("truncated chain record");
-      Ch.TargetTb = -1;
-    }
     B->GuestWords.resize(NumGuest);
     for (uint32_t &W : B->GuestWords)
       if (!R.u32(W))
@@ -416,38 +438,16 @@ CacheLoad CodeCacheIo::load(const std::string &Path, const CacheKey &Key,
     for (host::HInst &H : B->Code)
       if (!readInst(R, NumCode, H, Why))
         return Bad(Why);
-    for (const host::HostBlock::Chain &Ch : B->Chains) {
-      const bool NoRange = Ch.FlagSaveBegin == -1 && Ch.FlagSaveEnd == -1;
-      const bool GoodRange = Ch.FlagSaveBegin >= 0 &&
-                             Ch.FlagSaveBegin <= Ch.FlagSaveEnd &&
-                             Ch.FlagSaveEnd <= static_cast<int32_t>(NumCode);
-      if (!NoRange && !GoodRange)
-        return Bad("flag-save range out of range");
-    }
+    if (!checkBlock(*B, Why))
+      return Bad(Why);
 
-    CodeCache::Entry E;
-    E.Key = CodeCache::key(GuestPc, MmuIdx, Asid);
-    E.Asid = Asid;
-    E.FirstPage = GuestPc >> 12;
-    E.LastPage = (GuestPc + NumGuest * 4 - 1) >> 12;
-    E.Block = std::move(B);
-
-    const int Id = static_cast<int>(Img.Entries.size());
-    if (!Img.Index.emplace(E.Key, Id).second)
+    if (Cache.find(GuestPc, MmuIdx, Asid) >= 0)
       return Bad("duplicate block key");
-    for (uint32_t P = E.FirstPage; P <= E.LastPage; ++P)
-      Img.PageIndex[P].push_back(Id);
-    Img.AsidIndex[E.Asid].push_back(Id);
-    Img.SeenKeys.insert(E.Key);
-    Img.Entries.push_back(std::move(E));
+    Cache.insert(std::move(B), MmuIdx, Asid);
   }
   if (!R.done())
     return Bad("trailing bytes after last block");
-
-  Img.BaseId = 0;
-  Img.LiveBlocks = Img.Entries.size();
-  Img.Stats = CacheStats(); // provenance only; counters restart at zero
-  Out = std::move(Img);
+  Out = *Cache.capture();
   return CacheLoad::Hit;
 }
 
@@ -455,20 +455,19 @@ CacheLoad CodeCacheIo::load(const std::string &Path, const CacheKey &Key,
 // TranslationStore
 //===----------------------------------------------------------------------===//
 
-bool TranslationStore::lookup(uint32_t Pc, uint32_t MmuIdx, uint32_t Asid,
-                              const std::vector<uint32_t> &Words,
-                              host::HostBlock &Out) const {
+std::shared_ptr<const host::HostBlock>
+TranslationStore::lookup(uint32_t Pc, uint32_t MmuIdx, uint32_t Asid,
+                         const std::vector<uint32_t> &Words) const {
   if (!Img_)
-    return false;
+    return nullptr;
   const auto It = Img_->Index.find(CodeCache::key(Pc, MmuIdx, Asid));
   if (It == Img_->Index.end())
-    return false;
+    return nullptr;
   const size_t Idx = static_cast<size_t>(It->second - Img_->BaseId);
   if (Idx >= Img_->Entries.size())
-    return false;
+    return nullptr;
   const auto &Block = Img_->Entries[Idx].Block;
   if (!Block || Block->GuestWords != Words)
-    return false;
-  Out = *Block;
-  return true;
+    return nullptr;
+  return Block;
 }

@@ -18,14 +18,14 @@
 ///    fresh one.
 ///
 ///  * **CodeCacheIo** — save/load of a `CodeCache::Image` (the same
-///    frozen form `capture()`/`adopt()` exchange). Saving *normalizes*:
-///    only live blocks, ids renumbered from 0, chain slots unresolved,
-///    elision-killed instructions revived, no reverse edges, stats
-///    zeroed — the on-disk form is position-independent by construction
-///    because every process-local artifact (TB ids, chain patches) is
-///    stripped. Loading validates strictly — magic, version, key echo,
-///    payload checksum, and per-field bounds on every instruction — and
-///    any mismatch is a clean cache-miss, never UB.
+///    frozen form `capture()`/`adopt()` exchange). Only the immutable
+///    blocks are written — live ones, ids renumbered from 0; the link
+///    table (chain targets, elided flag-saves, reverse edges) and stats
+///    are per-cache state and never stored, so the on-disk form is
+///    position-independent by construction. Loading validates strictly —
+///    magic, version, key echo, payload checksum, per-field bounds on
+///    every instruction, and the block structure the host machine relies
+///    on — and any mismatch is a clean cache-miss, never UB.
 ///
 ///  * **TranslationStore** — the read-only lookup the engine consults on
 ///    a translation miss. Deliberately lazy (not an eager `adopt()`):
@@ -34,7 +34,8 @@
 ///    store survives any number of flushes and re-seeds blocks on the
 ///    next miss. Each hit is validated against the *current* guest words
 ///    at that address, so self-modifying or remapped code falls through
-///    to a fresh translation instead of executing a stale block.
+///    to a fresh translation instead of executing a stale block. A hit
+///    hands out the stored block itself; nothing is copied.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,14 +86,14 @@ public:
 
   /// Serializes \p Img to \p Path (atomically: temp file + rename, so a
   /// concurrent reader sees either the old file or the complete new
-  /// one). Blocks without recorded guest words are skipped — they could
-  /// never be validated at load time. Returns false with \p Err set on
-  /// I/O failure.
+  /// one). Only each entry's Block and Key are read. Blocks without
+  /// recorded guest words are skipped — they could never be validated at
+  /// load time. Returns false with \p Err set on I/O failure.
   static bool save(const std::string &Path, const CodeCache::Image &Img,
                    const CacheKey &Key, std::string *Err = nullptr);
 
   /// Loads and validates \p Path against \p Key. On Hit, \p Out is a
-  /// normalized image (BaseId 0, ids dense, chains unresolved, stats
+  /// normalized image (BaseId 0, ids dense, nothing chained, stats
   /// zeroed) suitable for adopt() or a TranslationStore. On Rejected,
   /// \p Err (if given) describes the first failed check.
   static CacheLoad load(const std::string &Path, const CacheKey &Key,
@@ -107,11 +108,21 @@ public:
   explicit TranslationStore(std::shared_ptr<const CodeCache::Image> Img)
       : Img_(std::move(Img)) {}
 
-  /// If the store holds a block for (Pc, MmuIdx, Asid) whose recorded
-  /// guest words equal \p Words, copies it into \p Out and returns true.
+  /// The stored block for (Pc, MmuIdx, Asid) if its recorded guest words
+  /// equal \p Words, else null.
+  std::shared_ptr<const host::HostBlock>
+  lookup(uint32_t Pc, uint32_t MmuIdx, uint32_t Asid,
+         const std::vector<uint32_t> &Words) const;
+
+  /// Value form of lookup(): copies a hit into \p Out.
   bool lookup(uint32_t Pc, uint32_t MmuIdx, uint32_t Asid,
               const std::vector<uint32_t> &Words,
-              host::HostBlock &Out) const;
+              host::HostBlock &Out) const {
+    const auto Block = lookup(Pc, MmuIdx, Asid, Words);
+    if (Block)
+      Out = *Block;
+    return Block != nullptr;
+  }
 
   /// Number of blocks available for seeding.
   size_t blocks() const { return Img_ ? Img_->LiveBlocks : 0; }

@@ -74,36 +74,39 @@ int DbtEngine::translateAt(uint32_t Pc) {
     return -1;
   }
   const uint32_t Asid = sys::currentAsid(Board.Env);
-  host::HostBlock Block;
   // Persistent-cache fast path: a stored translation for this key whose
   // recorded guest words still match what we just fetched is reused
   // verbatim. Validating against GB.Words (not just the key) makes SMC /
   // page-remap staleness impossible: any byte difference falls through to
   // a fresh translation.
-  if (Store_ && Store_->lookup(GB.StartPc, GB.MmuIdx, Asid, GB.Words, Block)) {
+  std::shared_ptr<const host::HostBlock> Block =
+      Store_ ? Store_->lookup(GB.StartPc, GB.MmuIdx, Asid, GB.Words)
+             : nullptr;
+  if (Block) {
     ++Cache.Stats.LoadedTbs;
     RDBT_TRACE(Sink_, obs::EventKind::SeedBlock, GB.StartPc);
   } else {
     const uint64_t T0 = Sink_ ? Sink_->now() : 0;
-    Xlat.translate(GB, Block);
-    assert(Block.GuestPc == Pc && "translator must fill GuestPc");
-    Block.GuestWords = GB.Words;
+    auto Fresh = std::make_shared<host::HostBlock>();
+    Xlat.translate(GB, *Fresh);
+    assert(Fresh->GuestPc == Pc && "translator must fill GuestPc");
+    Fresh->GuestWords = GB.Words;
     ++Stats.Translations;
     Stats.TranslatedGuestInstrs += GB.Insts.size();
     if (Sink_) {
       const uint64_t Ns = Sink_->now() - T0;
       Sink_->recordSpan(obs::EventKind::TranslateBlock, T0, GB.StartPc,
-                        Block.Code.size() * sizeof(host::HInst),
+                        Fresh->Code.size() * sizeof(host::HInst),
                         GB.Insts.size());
       if (TranslateNsHist_)
         TranslateNsHist_->record(Ns);
     }
     if (GuestBlockLenHist_)
       GuestBlockLenHist_->record(GB.Insts.size());
+    Block = std::move(Fresh);
   }
   if (RetainForSave_)
-    Retained_[CodeCache::key(GB.StartPc, GB.MmuIdx, Asid)] =
-        std::make_shared<const host::HostBlock>(Block);
+    Retained_[CodeCache::key(GB.StartPc, GB.MmuIdx, Asid)] = Block;
   return Cache.insert(std::move(Block), GB.MmuIdx, Asid);
 }
 

@@ -98,13 +98,13 @@ public:
     return Store_;
   }
 
-  /// When on, the engine keeps a pristine copy of every block it inserts
+  /// When on, the engine keeps a reference to every block it inserts
   /// (translated or store-seeded), keyed like the cache, newest per key.
   /// This is what the persistent-cache save serializes: unlike the live
   /// cache it still holds blocks the boot-time flush discarded, so the
   /// file covers the *whole* session and a warm boot translates nothing.
-  /// Copies are private — retaining never raises the live blocks'
-  /// use_count, so chain-patch COW behavior is unchanged.
+  /// Blocks are immutable, so the retained pointer is the very one the
+  /// cache holds — retaining copies nothing.
   void setRetainForSave(bool On) { RetainForSave_ = On; }
   const std::map<uint64_t, std::shared_ptr<const host::HostBlock>> &
   retainedForSave() const {

@@ -116,15 +116,20 @@ std::string host::disassemble(const HInst &H) {
   return "<bad>";
 }
 
-std::string host::disassembleBlock(const HostBlock &B) {
+std::string host::disassembleBlock(const HostBlock &B,
+                                   const ChainLinks *Links) {
   std::string Text;
   Text += format("; TB @ guest 0x%08x, %u guest instrs%s\n", B.GuestPc,
                  B.NumGuestInstrs,
                  B.DefinesFlagsBeforeUse ? ", defines-flags-before-use" : "");
+  int ElidedEnd = -1;
   for (size_t I = 0; I < B.Code.size(); ++I) {
+    if (Links && static_cast<int>(I) > ElidedEnd)
+      ElidedEnd = Links->elidedRangeEnd(B, I);
     const HInst &H = B.Code[I];
     Text += format("%4zu  [%s]%s %s\n", I, classTag(H.Cls),
-                   H.Dead ? " (dead)" : "", disassemble(H).c_str());
+                   static_cast<int>(I) < ElidedEnd ? " (elided)" : "",
+                   disassemble(H).c_str());
   }
   return Text;
 }

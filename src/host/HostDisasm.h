@@ -24,9 +24,10 @@ namespace host {
 /// One instruction, e.g. "add %h3, %h5".
 std::string disassemble(const HInst &H);
 
-/// A whole block, one line per instruction with index, class tag and dead
-/// markers.
-std::string disassembleBlock(const HostBlock &B);
+/// A whole block, one line per instruction with index and class tag.
+/// With \p Links, the ops of elided flag-save ranges are marked.
+std::string disassembleBlock(const HostBlock &B,
+                             const ChainLinks *Links = nullptr);
 
 } // namespace host
 } // namespace rdbt

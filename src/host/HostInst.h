@@ -32,6 +32,7 @@
 #ifndef RDBT_HOST_HOSTINST_H
 #define RDBT_HOST_HOSTINST_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -156,7 +157,6 @@ struct HInst {
   bool SetFlags = false;
   bool UseImm = false;
   bool AccIsWrite = false; ///< TlbCmp: probe the write tag
-  bool Dead = false;       ///< elided by inter-TB chain patching
   uint8_t Size = 4;        ///< GLoad/GStore access size
   uint8_t Dst = 0;
   uint8_t Src = 0;
@@ -168,16 +168,20 @@ struct HInst {
   uint32_t GuestPc = 0; ///< metadata: guest PC for faulting ops/helpers
 };
 
-/// Host code for one translation block plus its two patchable chain exits.
+/// Host code for one translation block plus its two chain exits. Frozen
+/// once translated: which exits are chained, and whether their flag-saves
+/// are elided, is per-cache link state (host::ChainLinks), never stored
+/// here, so one block is shared by every cache that holds it.
 struct HostBlock {
   std::vector<HInst> Code;
 
   /// A direct-branch exit that can be chained to a successor TB.
   struct Chain {
-    int TargetTb = -1;       ///< resolved successor, or -1
     uint32_t GuestTarget = 0; ///< guest PC this exit branches to
     /// Host-code range [Begin, End) of the flag sync-save belonging to
-    /// this exit; the inter-TB optimization marks it Dead at chain time.
+    /// this exit, or (-1, -1) if none. The range starts at a SyncOp marker
+    /// and ends right before this exit's ChainSlot; the inter-TB
+    /// optimization skips it once the exit is chained.
     int FlagSaveBegin = -1;
     int FlagSaveEnd = -1;
   };
@@ -197,10 +201,24 @@ struct HostBlock {
   /// True if every path through the TB writes the NZCV flags before any
   /// instruction reads them (the III-C inter-TB elimination predicate).
   bool DefinesFlagsBeforeUse = false;
-  /// True if the TB entry code requires live flags in host registers
-  /// (i.e. it begins with a sync-restore that chaining may skip — unused
-  /// by the current pipeline but kept for the ablation bench).
-  bool StartsWithRestore = false;
+};
+
+/// Per-cache link state of one block's two chain exits: the successor
+/// each slot is chained to, and whether chaining elided that exit's
+/// flag-save range (§III-C). Kept beside the immutable block, never in
+/// it, so translated code is shared by every cache that holds it.
+struct ChainLinks {
+  int Target[2] = {-1, -1}; ///< resolved successor TB per slot, or -1
+  bool Elided[2] = {};      ///< the slot's flag-save range is skipped
+
+  /// The end of the elided flag-save range of \p B that starts at \p I
+  /// (the index of its ChainSlot), or -1 if none starts there.
+  int elidedRangeEnd(const HostBlock &B, size_t I) const {
+    for (int S = 0; S < 2; ++S)
+      if (Elided[S] && B.Chains[S].FlagSaveBegin == static_cast<int>(I))
+        return B.Chains[S].FlagSaveEnd;
+    return -1;
+  }
 };
 
 /// Returns the mnemonic for \p Op.

@@ -137,10 +137,14 @@ void HostMachine::charge(const HInst &H, uint64_t Cost) {
 }
 
 uint32_t HostMachine::tlbWord(uint32_t Index, uint32_t FieldWord) const {
-  const uint32_t MmuIdx = Env[MmuIdxSlot];
+  // Translators mask Index and MmuIdx is 0 or 1, so masking again changes
+  // nothing for them; it keeps code from a crafted cache file (which can
+  // probe with any register, or store to the MmuIdx slot) inside the TLB.
+  const uint32_t MmuIdx = Env[MmuIdxSlot] & 1;
   const uint32_t Slot = TlbBaseSlot +
                         MmuIdx * TlbHalfEntries * TlbEntryWords +
-                        Index * TlbEntryWords + FieldWord;
+                        (Index & (TlbHalfEntries - 1)) * TlbEntryWords +
+                        FieldWord;
   assert(Slot < EnvSize && "TLB slot out of env");
   return Env[Slot];
 }
@@ -149,6 +153,7 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
   const HostBlock *B = Src.block(StartTb);
   int CurTb = StartTb;
   assert(B && "starting TB not in code cache");
+  const ChainLinks *L = &Src.links(StartTb);
   size_t I = 0;
   uint64_t Executed = 0;
 
@@ -169,10 +174,6 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
   while (true) {
     assert(I < B->Code.size() && "fell off the end of a host block");
     const HInst &H = B->Code[I];
-    if (H.Dead) {
-      ++I;
-      continue;
-    }
     if (++Executed > MaxInstrsPerRun)
       return {ExitReason::Shutdown, 0, CurTb, 0};
 
@@ -181,8 +182,18 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
       charge(H, 1);
       break;
     case HOp::Marker:
-      if (static_cast<MarkerKind>(H.Imm) == MarkerKind::SyncOp)
+      if (static_cast<MarkerKind>(H.Imm) == MarkerKind::SyncOp) {
+        // The head of an elided flag-save range: skip straight to its
+        // ChainSlot. Nothing in the range, this marker included, costs
+        // or counts toward MaxInstrsPerRun.
+        const int End = L->elidedRangeEnd(*B, I);
+        if (End >= 0) {
+          --Executed;
+          I = static_cast<size_t>(End);
+          continue;
+        }
         ++Counters.SyncOps;
+      }
       break;
     case HOp::Mov:
       charge(H, 1);
@@ -215,7 +226,6 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
       const uint32_t A = R_[H.Dst];
       const uint32_t Bv = aluOperand(H);
       uint32_t Lhs = A, Rhs = Bv, CarryIn = 0;
-      bool Invert = false;
       switch (H.Op) {
       case HOp::Add:
       case HOp::Cmn:
@@ -240,7 +250,6 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
       default:
         break;
       }
-      (void)Invert;
       const uint64_t Wide =
           static_cast<uint64_t>(Lhs) + static_cast<uint64_t>(Rhs) + CarryIn;
       const uint32_t Result = static_cast<uint32_t>(Wide);
@@ -459,13 +468,13 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
 
     case HOp::ChainSlot: {
       charge(H, 1); // the direct jump (patched, or falls to the epilogue)
-      const int Slot = H.Imm;
-      const HostBlock::Chain &Ch = B->Chains[Slot];
-      if (Ch.TargetTb < 0)
+      const int Next = L->Target[H.Imm];
+      if (Next < 0)
         break; // unresolved: fall through into the exit epilogue
-      CurTb = Ch.TargetTb;
+      CurTb = Next;
       B = Src.block(CurTb);
       assert(B && "chained to a flushed TB");
+      L = &Src.links(CurTb);
       I = 0;
       ++Counters.ChainFollows;
       EnterBlock(B, CurTb);

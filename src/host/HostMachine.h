@@ -62,11 +62,15 @@ public:
   virtual uint64_t onWall(uint64_t Now) = 0;
 };
 
-/// Read-only view of translated blocks, for chain following.
+/// Read-only view of translated blocks and their link state, for chain
+/// following.
 class CodeSource {
 public:
   virtual ~CodeSource();
   virtual const HostBlock *block(int TbId) const = 0;
+  /// Link state of the live block \p TbId; valid until the source next
+  /// inserts, links or drops a block.
+  virtual const ChainLinks &links(int TbId) const = 0;
 };
 
 /// Execution counters, attributed by CostClass.
@@ -81,13 +85,6 @@ struct ExecCounters {
   uint64_t TbEntries = 0;    ///< TB executions (entries + chain follows)
   uint64_t ChainFollows = 0;
   uint64_t HelperCalls = 0;
-
-  uint64_t totalHostInstrs() const {
-    uint64_t Sum = 0;
-    for (uint64_t V : ByClass)
-      Sum += V;
-    return Sum;
-  }
 };
 
 /// Result of one run() — why control returned to the engine.
@@ -102,7 +99,8 @@ class HostMachine {
 public:
   /// \p EnvWords is the CpuEnv viewed as a word array; generated code
   /// addresses it by slot. The TLB layout constants are passed explicitly
-  /// so this module stays independent of sys/.
+  /// so this module stays independent of sys/; \p TlbHalfEntries is a
+  /// power of two.
   HostMachine(uint32_t *EnvWords, uint32_t EnvSize, PhysPort &Mem,
               HelperHandler &Helpers, WallSink &Wall, uint16_t MmuIdxSlot,
               uint32_t TlbBaseSlot, uint32_t TlbEntryWords,

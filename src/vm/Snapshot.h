@@ -22,10 +22,10 @@
 ///    RAM pages.
 ///
 ///  * **The warmed code cache** as a dbt::CodeCache::Image: translated
-///    blocks are shared read-only; a fork privatizes a block only when
-///    it patches a chain slot in it. SeenKeys comes along, so
-///    CacheStats::Retranslations keeps proving forks re-pay no
-///    translation work (see the counters AdoptedTbs / CowBlockCopies).
+///    blocks are immutable and shared; each fork gets its own copy of
+///    the link table, so its chaining and invalidation never touch a
+///    block. SeenKeys comes along, so CacheStats::Retranslations keeps
+///    proving forks re-pay no translation work (see AdoptedTbs).
 ///
 ///  * **The rule corpus** as a shared_ptr<const RuleSet>: matching is
 ///    const and per-session counters live in the translator, so one

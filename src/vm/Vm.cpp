@@ -285,20 +285,15 @@ Vm::~Vm() {
       Cfg.persistentCacheSaveOnExit() && Engine_->Stats.Translations > 0 &&
       !Engine_->retainedForSave().empty()) {
     // Serialize the retained set (every block inserted this session,
-    // whether still live or flushed since) as a synthetic Image; the
-    // std::map ordering makes the file bytes deterministic.
+    // whether still live or flushed since) as a synthetic Image of
+    // (block, key) entries, all the writer reads; the std::map ordering
+    // makes the file bytes deterministic.
     dbt::CodeCache::Image Img;
     for (const auto &[Key, Block] : Engine_->retainedForSave()) {
-      dbt::CodeCache::Entry E;
-      E.Block = std::const_pointer_cast<host::HostBlock>(Block);
+      dbt::CodeCache::Entry &E = Img.Entries.emplace_back();
+      E.Block = Block;
       E.Key = Key;
-      E.Asid = static_cast<uint32_t>(Key >> 33) & 0xFF;
-      E.FirstPage = Block->GuestPc / sys::PhysMem::PageBytes;
-      E.LastPage = (Block->GuestPc + 4 * Block->NumGuestInstrs - 1) /
-                   sys::PhysMem::PageBytes;
-      Img.Entries.push_back(std::move(E));
     }
-    Img.LiveBlocks = Img.Entries.size();
     RDBT_TRACE(Sink_.get(), obs::EventKind::CacheFileSave,
                Img.Entries.size());
     dbt::CodeCacheIo::save(CachePath_, Img, CacheKey_);
@@ -501,7 +496,7 @@ std::vector<Vm::HotBlock> Vm::hotBlocks(size_t N) {
          << arm::disassemble(arm::decode(B->GuestWords[I]), Pc) << "\n";
     }
     H.GuestDisasm = GD.str();
-    H.HostDisasm = host::disassembleBlock(*B);
+    H.HostDisasm = host::disassembleBlock(*B, &Cache.links(H.TbId));
     Out.push_back(std::move(H));
   }
 

@@ -124,7 +124,7 @@ public:
     uint32_t CoveredInstrs = 0;
     uint32_t EmulatedInstrs = 0;
     std::string GuestDisasm; ///< one line per guest instruction
-    std::string HostDisasm;  ///< host::disassembleBlock() rendering
+    std::string HostDisasm;  ///< host::disassembleBlock(), elisions marked
   };
 
   /// The top-\p N live TBs by execution count. Requires

@@ -29,9 +29,17 @@
 ///    guest words still equal guest memory, so self-modified or remapped
 ///    code can never execute stale host code.
 ///
+///  * **Structure validation**: a file whose checksum is intact (the
+///    writer recomputed it) but whose block breaks what the engine and
+///    host machine rely on — a chain slot out of range, code that can
+///    fall off its end, a flag-save range the elision skip cannot jump
+///    over whole — is rejected too.
+///
 //===----------------------------------------------------------------------===//
 
 #include "dbt/CodeCacheIo.h"
+#include "host/HostEmitter.h"
+#include "sys/Env.h"
 #include "vm/Vm.h"
 
 #include <gtest/gtest.h>
@@ -377,4 +385,83 @@ TEST(CodeCacheIo, SpecStringCarriesTheCacheDir) {
 
   vm::VmConfig::fromSpec("qemu/libquantum,cache=", &Err);
   EXPECT_FALSE(Err.empty());
+}
+
+namespace {
+
+/// A minimal well-formed chain-exit block in the rule translator's shape:
+///   0: jcc -> 1
+///   1: SyncOp marker     (slot 0 flag-save range [1, 4))
+///   2: packf t0
+///   3: stenv packed_ccr, t0
+///   4: chain slot 0
+///   5: stenvi pc
+///   6: exit_tb NeedTranslate, slot 0
+host::HostBlock wellFormedBlock() {
+  host::HostBlock B;
+  B.GuestPc = 0x8000;
+  B.NumGuestInstrs = 1;
+  B.GuestWords = {0xE1A00000u};
+  host::HostEmitter E(B);
+  E.patchTarget(E.jcc(host::HCond::Eq), 1);
+  B.Chains[0].FlagSaveBegin = E.marker(host::MarkerKind::SyncOp);
+  E.packF(host::ScratchReg0);
+  E.stEnv(sys::envSlotPackedCcr(), host::ScratchReg0);
+  B.Chains[0].FlagSaveEnd = E.chainSlot(0, 0x8004);
+  E.stEnvI(sys::envSlotReg(15), 0x8004);
+  E.exitTbNeedTranslate(0);
+  return B;
+}
+
+/// Saves a one-block image (the writer computes a valid payload checksum)
+/// and loads it back.
+dbt::CacheLoad roundTrip(const host::HostBlock &B) {
+  TempDir Dir;
+  dbt::CacheKey Key;
+  Key.ImageCrc = 0x1234;
+  Key.ConfigCrc = 0x5678;
+  Key.Valid = true;
+  dbt::CodeCache::Image Img;
+  dbt::CodeCache::Entry E;
+  E.Block = std::make_shared<const host::HostBlock>(B);
+  E.Key = dbt::CodeCache::key(B.GuestPc, 0, 0);
+  Img.Entries.push_back(E);
+  Img.LiveBlocks = 1;
+  const std::string Path = Key.pathIn(Dir.Path);
+  EXPECT_TRUE(dbt::CodeCacheIo::save(Path, Img, Key));
+  dbt::CodeCache::Image Out;
+  return dbt::CodeCacheIo::load(Path, Key, Out);
+}
+
+} // namespace
+
+TEST(CodeCacheIo, WellFormedHandBuiltBlockLoads) {
+  EXPECT_EQ(dbt::CacheLoad::Hit, roundTrip(wellFormedBlock()));
+}
+
+TEST(CodeCacheIo, ExitChainSlotOutOfRangeRejects) {
+  // The engine hands a NeedTranslate exit's slot to CodeCache::chain().
+  host::HostBlock B = wellFormedBlock();
+  B.Code.back().Src = 5;
+  EXPECT_EQ(dbt::CacheLoad::Rejected, roundTrip(B));
+}
+
+TEST(CodeCacheIo, BlockThatCanFallOffItsEndRejects) {
+  host::HostBlock B = wellFormedBlock();
+  B.Code.pop_back(); // now ends in the stenvi, which falls through
+  EXPECT_EQ(dbt::CacheLoad::Rejected, roundTrip(B));
+}
+
+TEST(CodeCacheIo, FlagSaveRangeTheElisionCannotSkipRejects) {
+  host::HostBlock B = wellFormedBlock();
+  B.Chains[0].FlagSaveBegin = 2; // head is not a SyncOp marker
+  EXPECT_EQ(dbt::CacheLoad::Rejected, roundTrip(B));
+
+  B = wellFormedBlock();
+  B.Chains[0].FlagSaveEnd = 3; // does not end at its ChainSlot
+  EXPECT_EQ(dbt::CacheLoad::Rejected, roundTrip(B));
+
+  B = wellFormedBlock();
+  B.Chains[1] = B.Chains[0]; // ends at slot 0's ChainSlot, not slot 1's
+  EXPECT_EQ(dbt::CacheLoad::Rejected, roundTrip(B));
 }

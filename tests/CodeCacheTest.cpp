@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Direct unit tests for the ASID-aware code cache — keying, per-ASID and
-/// per-page selective invalidation, chain unlinking with flag-save
-/// resurrection, stale-id rejection, id stability across flushes — plus
+/// per-page selective invalidation, chain unlinking that reverts flag-save
+/// elision, stale-id rejection, id stability across flushes, forks that
+/// link without touching shared blocks — plus
 /// integration tests that prove the multi-process ctxswitch workload
 /// retains translations across context switches (the ≥5x retranslation
 /// reduction the ASID design exists for) while every executor still
@@ -25,21 +26,22 @@ using namespace rdbt::dbt;
 
 namespace {
 
-/// A minimal host block: \p NumInstrs sync-class instructions, a
-/// flag-save region [1, 3) attached to chain slot 0.
-host::HostBlock makeBlock(uint32_t GuestPc, uint32_t NumGuestInstrs = 4) {
-  host::HostBlock B;
-  B.GuestPc = GuestPc;
-  B.NumGuestInstrs = NumGuestInstrs;
+/// A minimal host block: four sync-class instructions, a flag-save
+/// region [1, 3) attached to chain slot 0.
+std::shared_ptr<const host::HostBlock> makeBlock(uint32_t GuestPc,
+                                                 uint32_t NumGuestInstrs = 4) {
+  auto B = std::make_shared<host::HostBlock>();
+  B->GuestPc = GuestPc;
+  B->NumGuestInstrs = NumGuestInstrs;
   for (int I = 0; I < 4; ++I) {
     host::HInst H;
     H.Op = host::HOp::Nop;
     H.Cls = host::CostClass::Sync;
-    B.Code.push_back(H);
+    B->Code.push_back(H);
   }
-  B.Chains[0].GuestTarget = GuestPc + 4 * NumGuestInstrs;
-  B.Chains[0].FlagSaveBegin = 1;
-  B.Chains[0].FlagSaveEnd = 3;
+  B->Chains[0].GuestTarget = GuestPc + 4 * NumGuestInstrs;
+  B->Chains[0].FlagSaveBegin = 1;
+  B->Chains[0].FlagSaveEnd = 3;
   return B;
 }
 
@@ -56,15 +58,17 @@ TEST(CodeCache, KeyedByPcMmuIdxAndAsid) {
   EXPECT_EQ(C.size(), 3u);
 }
 
-TEST(CodeCache, ChainElisionMarksFlagSaveDeadAndCounts) {
+TEST(CodeCache, ChainElisionMarksFlagSaveElidedAndCounts) {
   CodeCache C;
   const int A = C.insert(makeBlock(0x1000), 0, 0);
   const int B = C.insert(makeBlock(0x2000), 0, 0);
   EXPECT_TRUE(C.chain(A, 0, B, /*ElideFlagSave=*/true));
-  EXPECT_EQ(C.block(A)->Chains[0].TargetTb, B);
-  EXPECT_TRUE(C.block(A)->Code[1].Dead);
-  EXPECT_TRUE(C.block(A)->Code[2].Dead);
-  EXPECT_FALSE(C.block(A)->Code[0].Dead);
+  EXPECT_EQ(C.links(A).Target[0], B);
+  EXPECT_TRUE(C.links(A).Elided[0]);
+  EXPECT_FALSE(C.links(A).Elided[1]);
+  // The elided range is [1, 3): it is skipped from its head at 1 to 3.
+  EXPECT_EQ(C.links(A).elidedRangeEnd(*C.block(A), 1), 3);
+  EXPECT_EQ(C.links(A).elidedRangeEnd(*C.block(A), 0), -1);
   EXPECT_EQ(C.Stats.ChainsMade, 1u);
   EXPECT_EQ(C.Stats.ChainsWithElision, 1u);
   EXPECT_EQ(C.Stats.ElidedSyncInstrs, 2u);
@@ -78,7 +82,8 @@ TEST(CodeCache, ChainWithoutElisionKeepsFlagSave) {
   const int A = C.insert(makeBlock(0x1000), 0, 0);
   const int B = C.insert(makeBlock(0x2000), 0, 0);
   EXPECT_TRUE(C.chain(A, 0, B, /*ElideFlagSave=*/false));
-  EXPECT_FALSE(C.block(A)->Code[1].Dead);
+  EXPECT_EQ(C.links(A).Target[0], B);
+  EXPECT_FALSE(C.links(A).Elided[0]);
   EXPECT_EQ(C.Stats.ChainsWithElision, 0u);
   EXPECT_EQ(C.Stats.ElidedSyncInstrs, 0u);
 }
@@ -121,27 +126,69 @@ TEST(CodeCache, InvalidatePageDropsSpanningBlocksFromEitherSide) {
   EXPECT_EQ(C.block(Straddle2), nullptr);
 }
 
-TEST(CodeCache, InvalidationUnlinksIncomingChainsAndRevivesFlagSave) {
+TEST(CodeCache, InvalidationUnlinksIncomingChainsAndRevertsElision) {
   CodeCache C;
   const int A = C.insert(makeBlock(0x1000), 0, 0);
   const int B = C.insert(makeBlock(0x2000), 0, 1);
   ASSERT_TRUE(C.chain(A, 0, B, /*ElideFlagSave=*/true));
-  ASSERT_TRUE(C.block(A)->Code[1].Dead);
+  ASSERT_TRUE(C.links(A).Elided[0]);
 
   C.invalidateAsid(1); // drops B, must unlink A -> B
   ASSERT_NE(C.block(A), nullptr);
-  EXPECT_EQ(C.block(A)->Chains[0].TargetTb, -1)
+  EXPECT_EQ(C.links(A).Target[0], -1)
       << "chain into the dropped block must be reset";
-  EXPECT_FALSE(C.block(A)->Code[1].Dead)
-      << "elided flag-save must be resurrected on unlink";
-  EXPECT_FALSE(C.block(A)->Code[2].Dead);
+  EXPECT_FALSE(C.links(A).Elided[0])
+      << "elided flag-save must run again once unlinked";
+  EXPECT_EQ(C.links(A).elidedRangeEnd(*C.block(A), 1), -1);
   EXPECT_EQ(C.Stats.ChainsUnlinked, 1u);
   EXPECT_EQ(C.Stats.ElisionsReverted, 1u);
 
-  // The revived slot can chain again, to a new target.
+  // The unlinked slot can chain again, to a new target.
   const int B2 = C.insert(makeBlock(0x2000), 0, 1);
   EXPECT_TRUE(C.chain(A, 0, B2, false));
-  EXPECT_EQ(C.block(A)->Chains[0].TargetTb, B2);
+  EXPECT_EQ(C.links(A).Target[0], B2);
+}
+
+TEST(CodeCache, ForkLinksWithoutTouchingSharedBlocks) {
+  CodeCache Master;
+  const int A = Master.insert(makeBlock(0x1000), 0, 0);
+  const int B = Master.insert(makeBlock(0x2000), 0, 1);
+  ASSERT_TRUE(Master.chain(A, 0, B, /*ElideFlagSave=*/true));
+  const std::shared_ptr<const CodeCache::Image> Img = Master.capture();
+  const CodeCache::Entry &ImgA = Img->Entries[A - Img->BaseId];
+
+  CodeCache Fork;
+  Fork.adopt(*Img);
+  Fork.invalidateAsid(1); // drops B, unlinks A -> B in the fork only
+  EXPECT_EQ(Fork.links(A).Target[0], -1);
+  EXPECT_FALSE(Fork.links(A).Elided[0]);
+  ASSERT_TRUE(Fork.chain(A, 0, A, /*ElideFlagSave=*/true));
+  EXPECT_EQ(Fork.links(A).Target[0], A);
+
+  // The fork still runs the image's very block object; only its own
+  // link table moved, and the image's (and the master's) did not.
+  EXPECT_EQ(Fork.block(A), ImgA.Block.get());
+  EXPECT_EQ(Master.block(A), ImgA.Block.get());
+  EXPECT_EQ(ImgA.Links.Target[0], B);
+  EXPECT_TRUE(ImgA.Links.Elided[0]);
+  EXPECT_EQ(Master.links(A).Target[0], B);
+  EXPECT_NE(Master.block(B), nullptr);
+  EXPECT_EQ(Fork.Stats.CowBlockCopies, 0u);
+  EXPECT_EQ(Master.Stats.CowBlockCopies, 0u);
+}
+
+TEST(CodeCache, OutOfRangeChainSlotIsRefused) {
+  // The slot comes from an exit in the block's code, which a loaded
+  // cache file supplies; a bad one is refused, never indexed.
+  CodeCache C;
+  const int A = C.insert(makeBlock(0x1000), 0, 0);
+  const int B = C.insert(makeBlock(0x2000), 0, 0);
+  EXPECT_FALSE(C.chain(A, 2, B, true));
+  EXPECT_FALSE(C.chain(A, -1, B, true));
+  EXPECT_EQ(C.Stats.StaleChainRequests, 2u);
+  EXPECT_EQ(C.Stats.ChainsMade, 0u);
+  EXPECT_EQ(C.links(A).Target[0], -1);
+  EXPECT_EQ(C.links(A).Target[1], -1);
 }
 
 TEST(CodeCache, SelfChainInvalidation) {
@@ -187,8 +234,7 @@ TEST(CodeCache, StaleIdChainRequestIsRefused) {
 
 TEST(CodeCache, RetranslationAccounting) {
   CodeCache C;
-  host::HostBlock B = makeBlock(0x1000, /*NumGuestInstrs=*/7);
-  C.insert(std::move(B), 0, 0);
+  C.insert(makeBlock(0x1000, /*NumGuestInstrs=*/7), 0, 0);
   EXPECT_EQ(C.Stats.Retranslations, 0u);
   C.flush();
   C.insert(makeBlock(0x1000, 7), 0, 0);

@@ -55,9 +55,11 @@ protected:
   class OneBlock final : public CodeSource {
   public:
     HostBlock B;
+    ChainLinks Links;
     const HostBlock *block(int Id) const override {
       return Id == 0 ? &B : nullptr;
     }
+    const ChainLinks &links(int) const override { return Links; }
   };
 
   sys::Platform Board;
@@ -143,6 +145,20 @@ TEST_F(HostFixture, TlbProbeAndGuestAccess) {
             5u);
 }
 
+TEST_F(HostFixture, TlbProbeStaysInsideTheTlb) {
+  // A crafted cache file can probe with an unmasked index register and
+  // store any MMU index to env; the probe still reads a TLB entry.
+  Board.Env.Tlb[1][0x45].PhysFlags = 0xCAFE0000u;
+  OneBlock Src;
+  HostEmitter E(Src.B);
+  E.stEnvI(sys::envSlotMmuIdx(), 3);
+  E.movRI(4, 0x12345);
+  E.tlbPhys(5, 4);
+  E.exitTb(ExitReason::Lookup);
+  Machine.run(Src, 0);
+  EXPECT_EQ(Machine.reg(5), 0xCAFE0000u);
+}
+
 TEST_F(HostFixture, ChainSlotFallsThroughWhenUnresolved) {
   OneBlock Src;
   HostEmitter E(Src.B);
@@ -155,16 +171,53 @@ TEST_F(HostFixture, ChainSlotFallsThroughWhenUnresolved) {
   EXPECT_EQ(Board.Env.Regs[15], 0x2000u);
 }
 
-TEST_F(HostFixture, DeadInstructionsCostNothing) {
+TEST_F(HostFixture, ElidedFlagSaveRangeCostsNothing) {
+  // mov; [SyncOp marker; mov] = slot 0's flag-save range; chain exit.
   OneBlock Src;
   HostEmitter E(Src.B);
   E.movRI(0, 1);
-  const int DeadIdx = E.movRI(0, 2);
-  E.exitTb(ExitReason::Lookup);
-  Src.B.Code[DeadIdx].Dead = true;
-  Machine.run(Src, 0);
+  Src.B.Chains[0].FlagSaveBegin = E.marker(MarkerKind::SyncOp);
+  E.movRI(0, 2);
+  Src.B.Chains[0].FlagSaveEnd = E.chainSlot(0, 0x2000);
+  E.stEnvI(sys::envSlotReg(15), 0x2000);
+  E.exitTbNeedTranslate(0);
+
+  Src.Links.Elided[0] = true;
+  // Skipped ops do not count toward the runaway guard either: the four
+  // live ops fit a budget of exactly four.
+  Machine.MaxInstrsPerRun = 4;
+  const RunResult R = Machine.run(Src, 0);
+  EXPECT_EQ(R.Reason, ExitReason::NeedTranslate);
   EXPECT_EQ(Machine.reg(0), 1u);
-  EXPECT_EQ(Machine.Counters.Wall, 2u); // mov + exit only
+  EXPECT_EQ(Machine.Counters.Wall, 4u); // mov + chain + stenvi + exit
+  EXPECT_EQ(Machine.Counters.SyncOps, 0u);
+
+  // The same block with the range live runs it and counts the SyncOp.
+  Src.Links.Elided[0] = false;
+  Machine.MaxInstrsPerRun = ~0ull;
+  Machine.run(Src, 0);
+  EXPECT_EQ(Machine.reg(0), 2u);
+  EXPECT_EQ(Machine.Counters.Wall, 4u + 5u);
+  EXPECT_EQ(Machine.Counters.SyncOps, 1u);
+}
+
+TEST_F(HostFixture, DisassemblyMarksElidedFlagSaveOps) {
+  OneBlock Src;
+  HostEmitter E(Src.B);
+  Src.B.Chains[0].FlagSaveBegin = E.marker(MarkerKind::SyncOp);
+  E.movRI(0, 2);
+  Src.B.Chains[0].FlagSaveEnd = E.chainSlot(0, 0x2000);
+  E.exitTbNeedTranslate(0);
+  EXPECT_EQ(disassembleBlock(Src.B).find("(elided)"), std::string::npos);
+  EXPECT_EQ(disassembleBlock(Src.B, &Src.Links).find("(elided)"),
+            std::string::npos);
+  Src.Links.Elided[0] = true;
+  const std::string Text = disassembleBlock(Src.B, &Src.Links);
+  size_t Marks = 0;
+  for (size_t P = Text.find("(elided)"); P != std::string::npos;
+       P = Text.find("(elided)", P + 1))
+    ++Marks;
+  EXPECT_EQ(Marks, 2u) << Text; // the marker and the mov, not the chain
 }
 
 TEST(RuleSetTest, ReferenceRulesMatchAndEmit) {

@@ -121,9 +121,8 @@ Drain summarize(const std::vector<vm::RunReport> &Reports, uint64_t WallNs) {
 
 /// Bitwise forked-vs-fresh comparison: exact counters, final
 /// architectural state, console, engine stats, and the cache counters —
-/// minus the two fork-provenance diagnostics (AdoptedTbs counts blocks
-/// inherited from the snapshot, CowBlockCopies the chain patches that
-/// privatized one; both are 0 in a fresh run by construction).
+/// minus the fork-provenance diagnostic AdoptedTbs (blocks inherited from
+/// the snapshot; 0 in a fresh run by construction).
 bool identicalToFresh(const vm::RunReport &F, const vm::RunReport &R,
                       std::string *Why) {
   const auto Fail = [&](const char *What) {
@@ -146,7 +145,6 @@ bool identicalToFresh(const vm::RunReport &F, const vm::RunReport &R,
     return Fail("engine stats");
   dbt::CacheStats A = F.Cache, B = R.Cache;
   A.AdoptedTbs = B.AdoptedTbs = 0;
-  A.CowBlockCopies = B.CowBlockCopies = 0;
   if (std::memcmp(&A, &B, sizeof(A)) != 0)
     return Fail("cache stats");
   if (F.RuleCoveredInstrs != R.RuleCoveredInstrs ||
