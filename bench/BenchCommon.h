@@ -112,9 +112,8 @@ struct RunStats {
   uint64_t CacheFileMisses = 0;
   uint64_t LoadedTbs = 0;
   // Interpreter decoded-instruction cache behavior (DESIGN.md §14).
-  // Deterministic for a deterministic run, but configuration-dependent by
-  // design (",ifp=off" forces every decode to a miss), so A/B gates that
-  // compare across ifp settings waive them with --allow-prefix interp_.
+  // Deterministic for a deterministic run, so the perf gate holds them
+  // exact like every other counter.
   uint64_t InterpDecodeHits = 0;
   uint64_t InterpDecodeMisses = 0;
   // Host wall-clock timing, split at the serving boundary (see

@@ -124,11 +124,6 @@ public:
   void enableTbExecProfile() { Machine.TbExecs = &TbExecs_; }
   const std::vector<uint64_t> &tbExecCounts() const { return TbExecs_; }
 
-  /// Enables/disables the fallback interpreter's decoded-instruction
-  /// cache (VmConfig ",ifp="). Guest-invisible either way; see
-  /// sys::Interpreter::setFastpath.
-  void setInterpFastpath(bool On) { Interp.setFastpath(On); }
-
   /// The fallback interpreter, exposed for its decode-cache
   /// observability counters (RunReport::InterpDecode*).
   const sys::Interpreter &interp() const { return Interp; }

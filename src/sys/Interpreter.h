@@ -15,15 +15,15 @@
 ///  3. the "native execution" stand-in for Fig. 18 (one guest instruction
 ///     = one native cycle).
 ///
-/// Execution no longer re-decodes every word on every visit: a per-page
+/// Execution does not re-decode every word on every visit: a per-page
 /// decoded-instruction cache (DESIGN.md §14) memoizes (raw word →
 /// handler group + decoded operands) records lazily on first execution,
-/// and a function-pointer dispatch table replaces the decode-then-switch
-/// path for cached pages. The cache is host-side only — fetches still go
-/// through the MMU (so TLB statistics and faults are unchanged) and the
-/// guest-visible counters are bit-identical with the fastpath on or off;
-/// only host wall time and the DecodeHits/DecodeMisses observability
-/// counters move. Invalidation rides the TbInvKind pipeline (Env.h), and
+/// and a function-pointer dispatch table routes each record to its
+/// handler. The cache is host-side only — fetches still go through the
+/// MMU (so TLB statistics and faults are those of a decode-every-step
+/// interpreter) and every hit revalidates the fetched word, so no
+/// guest-visible state depends on it; only host wall time and the
+/// DecodeHits/DecodeMisses observability counters do. Invalidation rides the TbInvKind pipeline (Env.h), and
 /// the cache is rebuilt from scratch after snapshot capture/fork.
 ///
 //===----------------------------------------------------------------------===//
@@ -59,8 +59,8 @@ public:
   Interpreter(CpuEnv &E, Mmu &M, Platform &P)
       : Env(E), Mem(M), Board(P) {}
 
-  /// Fetches, decodes (through the decoded-instruction cache when the
-  /// fastpath is on) and executes the instruction at Regs[15].
+  /// Fetches, decodes (through the decoded-instruction cache) and
+  /// executes the instruction at Regs[15].
   StepKind step();
 
   /// Like step(), but for an explicit \p Pc (the DBT fallback entry). On a
@@ -77,12 +77,6 @@ public:
   /// Delivers a pending enabled IRQ if the core state allows it. Returns
   /// true if the exception was taken. Wakes a halted core.
   bool maybeTakeIrq();
-
-  /// Enables/disables the decoded-instruction cache (on by default). With
-  /// the fastpath off every step decodes the fetched word from scratch —
-  /// the pre-cache behavior, kept for A/B ablation via VmConfig ",ifp=".
-  void setFastpath(bool On) { FastpathOn = On; }
-  bool fastpath() const { return FastpathOn; }
 
   /// Optional wall-clock histogram for the decode/lookup phase of each
   /// step ("decode_ns"). Null (the default) disables timing entirely so
@@ -146,7 +140,6 @@ private:
   static constexpr uint32_t WordsPerPage = DecodePageBytes / 4;
   static constexpr uint32_t NumDecodePages = 16; // direct-mapped slots
 
-  bool FastpathOn = true;
   obs::Histogram *DecodeNs = nullptr;
   DecodePage DecodePages[NumDecodePages];
 
@@ -203,11 +196,9 @@ struct SystemRunResult {
 /// Runs a platform purely under the interpreter until the guest shuts
 /// down or \p MaxInstrs retire. The wall clock advances one cycle per
 /// instruction, making this the "native execution" baseline of Fig. 18
-/// and the golden model of the differential tests. \p Fastpath selects
-/// the decoded-instruction cache (guest-invisible either way), and
-/// \p DecodeNs, when non-null, receives per-step decode wall times.
+/// and the golden model of the differential tests. \p DecodeNs, when
+/// non-null, receives per-step decode wall times.
 SystemRunResult runSystemInterpreter(Platform &Board, uint64_t MaxInstrs,
-                                     bool Fastpath = true,
                                      obs::Histogram *DecodeNs = nullptr);
 
 } // namespace sys

@@ -32,6 +32,31 @@ static uint64_t nowNs() {
           .count());
 }
 
+/// Validates the configured RAM geometry before any of it reaches
+/// sys::PhysMem, whose bounds checks are debug-only asserts: the size
+/// must be a page multiple (capture() pages the image copy-on-write), a
+/// flat image must fit below the end of RAM, and a kernel workload must
+/// get at least the RAM its layout needs.
+static std::string ramGeometryError(const VmConfig &Cfg, uint32_t Ram) {
+  if (Ram % sys::PhysMem::PageBytes != 0)
+    return "RAM size " + std::to_string(Ram) +
+           " is not a multiple of the 4 KiB page size";
+  if (Cfg.isFlatImage()) {
+    const uint64_t End = static_cast<uint64_t>(Cfg.flatImageBase()) +
+                         4ull * Cfg.flatImage().size();
+    if (End > Ram)
+      return "flat image ends at " + std::to_string(End) +
+             ", beyond the " + std::to_string(Ram) + "-byte RAM";
+  } else if (!Cfg.workload().empty()) {
+    const uint32_t Need = guestsw::requiredWorkloadRam(Cfg.workload());
+    if (Ram < Need)
+      return "workload '" + Cfg.workload() + "' needs at least " +
+             std::to_string(Need) + " bytes of RAM, got " +
+             std::to_string(Ram);
+  }
+  return "";
+}
+
 Vm::Vm(VmConfig C) : Cfg(std::move(C)) {
   const uint64_t T0 = nowNs();
   init();
@@ -70,17 +95,17 @@ void Vm::init() {
     Board_ = std::make_unique<sys::Platform>(Snap->ramImage());
     Board_->restoreState(Snap->Board_);
     Board_->Env = Snap->Env_;
-    // A pre-run snapshot has executed nothing, so the fork may choose
-    // its own invalidation policy; a warm one already validated equality.
-    if (!Snap->HasRun_)
-      Board_->Env.BlanketInvalidation =
-          Cfg.blanketCacheInvalidation() ? 1u : 0u;
     RDBT_TRACE(Sink_.get(), obs::EventKind::SnapshotFork,
                Snap->Cache_ ? Snap->Cache_->LiveBlocks : 0);
   } else {
     const uint32_t Ram = Cfg.ramBytes()
                              ? Cfg.ramBytes()
                              : guestsw::requiredWorkloadRam(Cfg.workload());
+    Error_ = ramGeometryError(Cfg, Ram);
+    if (!Error_.empty()) {
+      Board_ = std::make_unique<sys::Platform>(guestsw::KernelLayout::MinRam);
+      return;
+    }
     Board_ = std::make_unique<sys::Platform>(Ram);
 
     if (Cfg.isFlatImage()) {
@@ -94,10 +119,6 @@ void Vm::init() {
       Error_ = "unknown workload '" + Cfg.workload() + "'";
       return;
     }
-    // After guest install (installers reset the env, which clears the
-    // policy word). The interpreter honors it on every executor path.
-    Board_->Env.BlanketInvalidation =
-        Cfg.blanketCacheInvalidation() ? 1u : 0u;
   }
 
   if (!Kind_->UsesEngine) {
@@ -152,7 +173,6 @@ void Vm::init() {
       Rule->setGapMiner(Cfg.gapMiner());
   Engine_ = std::make_unique<dbt::DbtEngine>(*Board_, *Xlat_);
   Engine_->setRunawayGuard(Cfg.runawayGuard());
-  Engine_->setInterpFastpath(Cfg.interpFastpath());
   if (Sink_)
     Engine_->setObs(Sink_.get(), Metrics_.get());
   if (Cfg.profileHotBlocks())
@@ -212,7 +232,7 @@ void Vm::initPersistentCache(const Snapshot *Snap) {
   }
 
   // Translator identity: canonical kind name, explicit opt overrides
-  // (the kind name itself pins the preset), invalidation policy, and —
+  // (the kind name itself pins the preset), and —
   // for rule kinds — the full canonical corpus text, so "rule:file="
   // deployments key by content, not by path.
   uint32_t C = dbt::crc32c(Kind_->Name.data(), Kind_->Name.size());
@@ -226,7 +246,6 @@ void Vm::initPersistentCache(const Snapshot *Snap) {
                             (static_cast<uint32_t>(O.ScheduleIrq) << 4),
                         C);
   }
-  C = dbt::crc32cWord(Cfg.blanketCacheInvalidation() ? 1u : 0u, C);
   if (Kind_->NeedsRules) {
     const rules::RuleSet *RS = Cfg.rules() ? Cfg.rules() : OwnedRules_.get();
     const std::string Text = rules::writeRuleSet(*RS);
@@ -323,7 +342,7 @@ RunReport Vm::run(uint64_t WallBudget) {
   const uint64_t T0 = nowNs();
   if (!Kind_->UsesEngine) {
     const sys::SystemRunResult Res = sys::runSystemInterpreter(
-        *Board_, WallBudget, Cfg.interpFastpath(),
+        *Board_, WallBudget,
         Metrics_ ? &Metrics_->histogram(obs::metric::DecodeNs) : nullptr);
     R.Stop = Res.Shutdown ? dbt::StopReason::GuestShutdown
              : Res.Deadlocked ? dbt::StopReason::Deadlock

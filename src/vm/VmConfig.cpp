@@ -55,15 +55,12 @@ VmConfig VmConfig::fromSpec(const std::string &FullSpec, std::string *Error) {
   if (Error)
     Error->clear();
   // Session options ride after the scenario name as ",opt=value":
-  // "cache=<dir>", "trace=<path>" and "ifp=on|off", in any order. Split
+  // "cache=<dir>" and "trace=<path>", in either order. Split
   // them off before the scenario parse so parameterized-kind paths keep
   // their '/' (and any incidental ',') handling untouched — only a
   // segment starting with a known option key begins the option list.
   std::string Spec = FullSpec, CacheDir, TracePath;
-  bool Ifp = true;
-  const size_t Comma =
-      std::min(std::min(Spec.find(",cache="), Spec.find(",trace=")),
-               Spec.find(",ifp="));
+  const size_t Comma = std::min(Spec.find(",cache="), Spec.find(",trace="));
   if (Comma != std::string::npos) {
     std::string Opts = Spec.substr(Comma + 1);
     Spec = Spec.substr(0, Comma);
@@ -81,16 +78,6 @@ VmConfig VmConfig::fromSpec(const std::string &FullSpec, std::string *Error) {
         TracePath = Item.substr(6);
         if (TracePath.empty())
           return failSpec("empty trace path in '" + FullSpec + "'", Error);
-      } else if (Item.compare(0, 4, "ifp=") == 0) {
-        const std::string Val = Item.substr(4);
-        if (Val == "on")
-          Ifp = true;
-        else if (Val == "off")
-          Ifp = false;
-        else
-          return failSpec("bad ifp value '" + Val + "' in '" + FullSpec +
-                              "' (want on|off)",
-                          Error);
       } else {
         return failSpec("unknown session option '" + Item + "' in '" +
                             FullSpec + "'",
@@ -153,7 +140,6 @@ VmConfig VmConfig::fromSpec(const std::string &FullSpec, std::string *Error) {
   C.scale(Scale);
   C.persistentCache(CacheDir);
   C.trace(TracePath);
-  C.interpFastpath(Ifp);
   return C;
 }
 
@@ -168,7 +154,5 @@ std::string VmConfig::toSpec() const {
     Spec += ",cache=" + PersistentCacheDir_;
   if (!TracePath_.empty())
     Spec += ",trace=" + TracePath_;
-  if (!InterpFastpath_)
-    Spec += ",ifp=off"; // on is the default; omitted for round-tripping
   return Spec;
 }

@@ -97,14 +97,6 @@ public:
     RunawayGuard_ = MaxHostInstrsPerRun;
     return *this;
   }
-  /// Selects the legacy translation-cache policy: every guest TTBR/
-  /// SCTLR/CONTEXTIDR write discards all translations and the whole TLB
-  /// instead of the ASID-selective invalidation. The measurable baseline
-  /// for the ctxswitch_cache bench; default off.
-  VmConfig &blanketCacheInvalidation(bool Blanket) {
-    BlanketCacheInvalidation_ = Blanket;
-    return *this;
-  }
   /// Uses \p Rules (caller-owned, must outlive the Vm) instead of the
   /// built-in reference rule set — e.g. a freshly learned set.
   VmConfig &rules(const rules::RuleSet *Rules) {
@@ -169,16 +161,6 @@ public:
     ProfileHotBlocks_ = On;
     return *this;
   }
-  /// Enables the interpreter fastpath — the per-page decoded-instruction
-  /// cache with threaded dispatch (DESIGN.md §14). On by default; turn
-  /// off to A/B the pre-cache decode-every-step behavior. Guest-visible
-  /// state and every simulated counter are bit-identical either way;
-  /// only host wall time and the RunReport::InterpDecode* observability
-  /// counters differ. Spec strings carry it as ",ifp=on|off".
-  VmConfig &interpFastpath(bool On) {
-    InterpFastpath_ = On;
-    return *this;
-  }
 
   // --- Accessors ----------------------------------------------------------
 
@@ -190,7 +172,6 @@ public:
   const core::OptConfig &opts() const { return Opts_; }
   uint64_t wallBudget() const { return WallBudget_; }
   uint64_t runawayGuard() const { return RunawayGuard_; }
-  bool blanketCacheInvalidation() const { return BlanketCacheInvalidation_; }
   const rules::RuleSet *rules() const { return Rules_; }
   profile::GapMiner *gapMiner() const { return Miner_; }
   bool isFlatImage() const { return UseFlatImage_; }
@@ -201,12 +182,11 @@ public:
   bool persistentCacheSaveOnExit() const { return PersistentCacheSave_; }
   const std::string &trace() const { return TracePath_; }
   bool profileHotBlocks() const { return ProfileHotBlocks_; }
-  bool interpFastpath() const { return InterpFastpath_; }
 
   // --- Spec strings -------------------------------------------------------
 
-  /// Parses "<kind>[/<workload>[@<scale>]][,cache=<dir>][,trace=<path>]
-  /// [,ifp=on|off]". The kind must be registered and the workload known;
+  /// Parses "<kind>[/<workload>[@<scale>]][,cache=<dir>][,trace=<path>]".
+  /// The kind must be registered and the workload known;
   /// on failure the returned config is unusable (Vm construction reports
   /// the error) and *Error, when given, says why.
   static VmConfig fromSpec(const std::string &Spec,
@@ -225,7 +205,6 @@ private:
   bool HasOpts_ = false;
   uint64_t WallBudget_ = 400ull * 1000 * 1000 * 1000;
   uint64_t RunawayGuard_ = ~0ull;
-  bool BlanketCacheInvalidation_ = false;
   const rules::RuleSet *Rules_ = nullptr;
   profile::GapMiner *Miner_ = nullptr;
   std::vector<uint32_t> FlatImage_;
@@ -236,7 +215,6 @@ private:
   bool PersistentCacheSave_ = true;
   std::string TracePath_;
   bool ProfileHotBlocks_ = false;
-  bool InterpFastpath_ = true;
 };
 
 } // namespace vm

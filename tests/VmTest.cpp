@@ -14,6 +14,8 @@
 
 #include "core/RuleTranslator.h"
 #include "dbt/Engine.h"
+#include "fuzz/Differential.h"
+#include "fuzz/ProgramGen.h"
 #include "guestsw/MiniKernel.h"
 #include "guestsw/Workloads.h"
 #include "vm/Vm.h"
@@ -105,6 +107,8 @@ TEST(VmConfig, FromSpecRejectsGarbage) {
   EXPECT_NE(Err.find("bad scale"), std::string::npos) << Err;
   vm::VmConfig::fromSpec("qemu/mcf@4294967297", &Err); // uint32 overflow
   EXPECT_NE(Err.find("bad scale"), std::string::npos) << Err;
+  vm::VmConfig::fromSpec("native/libquantum,ifp=off", &Err); // no such option
+  EXPECT_NE(Err.find("unknown workload"), std::string::npos) << Err;
 
   // An unparsable spec yields a config Vm refuses to build.
   vm::Vm V(vm::VmConfig::fromSpec("tcg/mcf"));
@@ -295,6 +299,58 @@ TEST(Vm, NativeExecutorMatchesInterpreter) {
   EXPECT_EQ(R.guestInstrs(), Ref.InstrsRetired);
   EXPECT_EQ(R.wall(), Ref.InstrsRetired) << "native is 1 cycle/instr";
   EXPECT_TRUE(V.engine() == nullptr) << "native must not build an engine";
+}
+
+//===----------------------------------------------------------------------===//
+// RAM geometry: rejected at construction, before any byte reaches PhysMem
+//===----------------------------------------------------------------------===//
+
+vm::VmConfig flatNative(uint32_t Words, uint32_t Base) {
+  return vm::VmConfig().translator("native").flatImage(
+      std::vector<uint32_t>(Words, 0), Base);
+}
+
+TEST(Vm, RejectsFlatImagePastEndOfRam) {
+  constexpr uint32_t Ram = 8u << 20;
+  vm::Vm Fits(flatNative(4, Ram - 16).ramBytes(Ram));
+  EXPECT_TRUE(Fits.valid()) << Fits.error();
+
+  vm::Vm Past(flatNative(4, Ram - 12).ramBytes(Ram));
+  EXPECT_FALSE(Past.valid());
+  EXPECT_FALSE(Past.run().Ok);
+
+  // Base + 4 * words wraps around 2^32 to a small in-range address.
+  vm::Vm Wraps(flatNative(4, 0xFFFFFFF8u).ramBytes(Ram));
+  EXPECT_FALSE(Wraps.valid());
+
+  // The fuzz harness's own configs stay valid.
+  vm::Vm Fuzz(fuzz::flatConfig(std::vector<uint32_t>(64, 0), "native",
+                               nullptr, 1000));
+  EXPECT_TRUE(Fuzz.valid()) << Fuzz.error();
+}
+
+TEST(Vm, RejectsRamBelowWorkloadRequirement) {
+  const uint32_t Need = guestsw::requiredWorkloadRam("ctxswitch");
+  ASSERT_GT(Need, guestsw::KernelLayout::MinRam);
+  vm::Vm V(vm::VmConfig().translator("qemu").workload("ctxswitch").ramBytes(
+      guestsw::KernelLayout::MinRam));
+  EXPECT_FALSE(V.valid());
+  EXPECT_NE(V.error().find("needs at least"), std::string::npos) << V.error();
+
+  vm::Vm Tiny(
+      vm::VmConfig().translator("native").workload("mcf").ramBytes(1u << 20));
+  EXPECT_FALSE(Tiny.valid());
+}
+
+TEST(Vm, RejectsRamSizeThatIsNotAPageMultiple) {
+  vm::Vm Kernel(vm::VmConfig().translator("native").workload("mcf").ramBytes(
+      guestsw::KernelLayout::MinRam + 4));
+  EXPECT_FALSE(Kernel.valid());
+  EXPECT_NE(Kernel.error().find("4 KiB"), std::string::npos)
+      << Kernel.error();
+
+  vm::Vm Flat(flatNative(4, fuzz::CodeBase).ramBytes((8u << 20) + 100));
+  EXPECT_FALSE(Flat.valid());
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,7 +8,7 @@
 // Two modes:
 //
 //   rdbt_scenarios [--json] [--corpus F] [--trace-dir D] [--hot N]
-//                  [--ifp on|off] [workload] [scale]
+//                  [workload] [scale]
 //     Single-workload smoke (default: libquantum 1): one row per
 //     registered kind. --json emits BENCH_scenarios.json through the
 //     bench/BenchCommon.h recorder. --hot N turns on the per-TB
@@ -17,7 +17,7 @@
 //     rule-coverage attribution — after its run.
 //
 //   rdbt_scenarios --jobs N [--json] [--corpus F] [--cache-dir D]
-//                  [--trace-dir D] [--ifp on|off] [scale]
+//                  [--trace-dir D] [scale]
 //     Full matrix: every registered kind x every workload at the given
 //     scale (default 1), executed by vm/BatchRunner on N worker threads.
 //     --json writes the merged BENCH_matrix.json — cells keyed
@@ -32,13 +32,6 @@
 //     cache_file_hits == 1, translations == 0. --json additionally
 //     writes the warm pass as BENCH_matrix_warm.json (the
 //     rdbt_perfgate --warm artifact).
-//
-// --ifp on|off (either mode) selects the interpreter's decoded-
-// instruction cache (DESIGN.md §14; default on). The fastpath is
-// guest-invisible, so every perf-gated counter stays bitwise identical
-// either way — only the interp_* JSON field family moves, which is why
-// the CI A/B compares an --ifp off matrix against the baseline with
-// `rdbt_perfgate --allow-prefix interp_`.
 //
 // --trace-dir D (either mode) arms the observability sink on every
 // cell: each session writes a Chrome trace-event timeline to
@@ -167,16 +160,13 @@ std::vector<vm::RunReport> runBatch(const std::vector<Cell> &Cells,
                                     uint32_t Scale, unsigned Jobs,
                                     const std::string &CacheDir,
                                     const std::string &TraceDir,
-                                    const char *TraceSuffix, bool Ifp,
+                                    const char *TraceSuffix,
                                     int &Failures) {
   std::vector<vm::VmConfig> Configs;
   Configs.reserve(Cells.size());
   for (const Cell &C : Cells) {
-    vm::VmConfig Cfg = vm::VmConfig()
-                           .translator(C.Kind)
-                           .workload(C.Workload)
-                           .scale(Scale)
-                           .interpFastpath(Ifp);
+    vm::VmConfig Cfg =
+        vm::VmConfig().translator(C.Kind).workload(C.Workload).scale(Scale);
     if (!CacheDir.empty())
       Cfg.persistentCache(CacheDir);
     // --trace-dir: one timeline per cell. Tracing reads only host wall
@@ -236,7 +226,7 @@ toMatrixCells(const std::vector<Cell> &Cells,
 
 int runMatrix(unsigned Jobs, uint32_t Scale, bool Json,
               const std::string &Corpus, const std::string &CacheDir,
-              const std::string &TraceDir, bool Ifp) {
+              const std::string &TraceDir) {
   std::vector<Cell> Cells;
   for (const std::string &Kind : vm::TranslatorRegistry::global().kinds()) {
     const auto *Info = vm::TranslatorRegistry::global().find(Kind);
@@ -272,7 +262,7 @@ int runMatrix(unsigned Jobs, uint32_t Scale, bool Json,
 
   int Failures = 0;
   const std::vector<vm::RunReport> Cold = runBatch(
-      Cells, Boards, Scale, Jobs, CacheDir, TraceDir, "", Ifp, Failures);
+      Cells, Boards, Scale, Jobs, CacheDir, TraceDir, "", Failures);
 
   if (Json &&
       !writeMatrixFile(bench::formatMatrixJson(toMatrixCells(Cells, Cold),
@@ -289,7 +279,7 @@ int runMatrix(unsigned Jobs, uint32_t Scale, bool Json,
     std::printf("\nwarm pass against %s:\n\n", CacheDir.c_str());
     const std::vector<vm::RunReport> Warm =
         runBatch(Cells, Boards, Scale, Jobs, CacheDir, TraceDir, "-warm",
-                 Ifp, Failures);
+                 Failures);
 
     std::printf("\n%-28s %12s %12s %10s %6s\n", "cell", "cold-xlate",
                 "warm-xlate", "loaded", "hits");
@@ -358,19 +348,7 @@ int main(int argc, char **argv) {
   uint32_t Scale = 1;
   bool HaveScale = false;
   bool Matrix = false;
-  bool Ifp = true;
   unsigned Jobs = 1;
-  const auto ParseIfp = [&Ifp](const char *Value) {
-    if (std::strcmp(Value, "on") == 0)
-      Ifp = true;
-    else if (std::strcmp(Value, "off") == 0)
-      Ifp = false;
-    else {
-      std::fprintf(stderr, "bad --ifp value '%s' (want on|off)\n", Value);
-      return false;
-    }
-    return true;
-  };
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--list") == 0) {
       std::printf("workloads:\n");
@@ -426,16 +404,6 @@ int main(int argc, char **argv) {
       TraceDir = argv[I] + 12;
       continue;
     }
-    if (std::strcmp(argv[I], "--ifp") == 0 && I + 1 < argc) {
-      if (!ParseIfp(argv[++I]))
-        return 2;
-      continue;
-    }
-    if (std::strncmp(argv[I], "--ifp=", 6) == 0) {
-      if (!ParseIfp(argv[I] + 6))
-        return 2;
-      continue;
-    }
     if (std::strcmp(argv[I], "--hot") == 0 && I + 1 < argc) {
       const int N = std::atoi(argv[++I]);
       Hot = N > 0 ? static_cast<size_t>(N) : 0;
@@ -464,14 +432,10 @@ int main(int argc, char **argv) {
     std::fprintf(stderr,
                  "unexpected argument '%s'\n"
                  "usage: rdbt_scenarios [--json] [--corpus F] "
-                 "[--trace-dir D] [--hot N] [--ifp on|off] "
-                 "[workload] [scale]\n"
+                 "[--trace-dir D] [--hot N] [workload] [scale]\n"
                  "       rdbt_scenarios --jobs N [--json] [--corpus F] "
-                 "[--cache-dir D] [--trace-dir D] [--ifp on|off] [scale]\n"
-                 "       rdbt_scenarios --list\n"
-                 "--ifp selects the interpreter's decoded-instruction "
-                 "cache (DESIGN.md §14; default on,\nguest-invisible "
-                 "either way)\n", argv[I]);
+                 "[--cache-dir D] [--trace-dir D] [scale]\n"
+                 "       rdbt_scenarios --list\n", argv[I]);
     return 2;
   }
 
@@ -487,7 +451,7 @@ int main(int argc, char **argv) {
                    "--hot needs single-workload mode (drop --jobs N)\n");
       return 2;
     }
-    return runMatrix(Jobs, Scale, Json, Corpus, CacheDir, TraceDir, Ifp);
+    return runMatrix(Jobs, Scale, Json, Corpus, CacheDir, TraceDir);
   }
 
   if (!CacheDir.empty()) {
@@ -521,11 +485,8 @@ int main(int argc, char **argv) {
         continue; // unusable without an argument (e.g. rule:file=<path>)
       SpecKind = Kind + "=" + Corpus;
     }
-    vm::VmConfig Cfg = vm::VmConfig()
-                           .translator(SpecKind)
-                           .workload(Workload)
-                           .scale(Scale)
-                           .interpFastpath(Ifp);
+    vm::VmConfig Cfg =
+        vm::VmConfig().translator(SpecKind).workload(Workload).scale(Scale);
     if (!Board.empty())
       Cfg.snapshot(&Board);
     // --trace-dir: one timeline per kind, named like a matrix cell.
