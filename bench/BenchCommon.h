@@ -5,16 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The harness behind every table/figure reproduction binary: runs a
-/// workload under a chosen executor configuration (via the vm/ session
-/// facade) and returns the measured counters. Absolute numbers come from
-/// the simulated host (host instructions = wall cycles); see
-/// EXPERIMENTS.md for the paper-vs-measured comparison.
+/// The shared benchmark harness: the measured counters of one run
+/// (RunStats, filled from a vm::RunReport), their JSON emitters, and the
+/// paper's Table I and Figs. 14-19 as a view over the scenario matrix's
+/// cells (PaperFigure, printed by `rdbt_scenarios --jobs N`). Absolute
+/// numbers come from the simulated host (host instructions = wall
+/// cycles); see EXPERIMENTS.md for the paper-vs-measured comparison.
 ///
 /// RDBT_BENCH_SCALE (env) scales workload iteration counts (default 4).
 /// RDBT_BENCH_JSON (env), when set, makes each binary also write its raw
-/// counters and derived figure series to BENCH_<name>.json (the variable's
-/// value is the output directory; "1" or empty means the current directory).
+/// counters and derived series to BENCH_<name>.json (the variable's
+/// value is the output directory; "1" or empty means the current
+/// directory).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,55 +27,18 @@
 #include "vm/Vm.h"
 
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 namespace rdbt {
 namespace bench {
-
-/// Executor configurations (the translator-kind axis of the scenario
-/// matrix; each maps to a TranslatorRegistry kind).
-enum class Config {
-  Native, ///< reference interpreter at 1 cycle/instr (Fig. 18 baseline)
-  Qemu,   ///< the QEMU-6.1-like baseline translator
-  RuleBase,
-  RuleReduction,
-  RuleElimination,
-  RuleFull,
-};
-
-/// The registry kind name behind a configuration.
-inline const char *configKind(Config C) {
-  switch (C) {
-  case Config::Native: return "native";
-  case Config::Qemu: return "qemu";
-  case Config::RuleBase: return "rule:base";
-  case Config::RuleReduction: return "rule:reduction";
-  case Config::RuleElimination: return "rule:elimination";
-  case Config::RuleFull: return "rule:scheduling";
-  }
-  return "?";
-}
-
-/// Human-facing table label (the registry's Label for the kind).
-inline const char *configName(Config C) {
-  const vm::TranslatorRegistry::KindInfo *K =
-      vm::TranslatorRegistry::global().find(configKind(C));
-  return K ? K->Label.c_str() : "?";
-}
-
-/// Identifier-safe key for a configuration, used for JSON metric series
-/// names so every binary reports the same quantity under the same key
-/// (configName() stays the human-facing table label).
-inline const char *configKey(Config C) {
-  const vm::TranslatorRegistry::KindInfo *K =
-      vm::TranslatorRegistry::global().find(configKind(C));
-  return K ? K->MetricKey.c_str() : "unknown";
-}
 
 struct RunStats {
   uint64_t Wall = 0;        ///< emulation cost in host cycles
@@ -126,27 +91,38 @@ struct RunStats {
   // prefix in the perf gate, so they never trip the exact-count diff.
   vm::RunReport::ObsStats Obs;
   bool Ok = false;
-
-  double hostPerGuest() const {
-    return GuestInstrs ? static_cast<double>(Wall) / GuestInstrs : 0;
-  }
-  double syncPerGuest() const {
-    return GuestInstrs ? static_cast<double>(SyncInstrs) / GuestInstrs : 0;
-  }
 };
 
-inline uint32_t benchScale() {
-  if (const char *S = std::getenv("RDBT_BENCH_SCALE"))
-    return static_cast<uint32_t>(std::atoi(S) > 0 ? std::atoi(S) : 4);
-  return 4;
+/// Parses a workload scale the way VmConfig::fromSpec parses
+/// "@<scale>": decimal digits only, no overflow past uint32, non-zero.
+inline bool parseScale(const char *Text, uint32_t &Out) {
+  uint32_t Scale = 0;
+  for (const char *P = Text; *P; ++P) {
+    const uint32_t Digit = static_cast<uint32_t>(*P - '0');
+    if (*P < '0' || *P > '9' || Scale > (0xFFFFFFFFu - Digit) / 10)
+      return false;
+    Scale = Scale * 10 + Digit;
+  }
+  if (Scale == 0)
+    return false;
+  Out = Scale;
+  return true;
 }
 
-/// The wall budgets every figure always ran under: the native baseline
-/// is an instruction budget (1 cycle/instr), the engine paths a
-/// host-cycle budget.
-inline uint64_t benchWallBudget(Config C) {
-  return C == Config::Native ? 2000ull * 1000 * 1000
-                             : 400ull * 1000 * 1000 * 1000;
+/// The workload scale from RDBT_BENCH_SCALE (4 when unset). A value
+/// parseScale rejects ends the bench with exit status 2.
+inline uint32_t benchScale() {
+  const char *S = std::getenv("RDBT_BENCH_SCALE");
+  if (!S)
+    return 4;
+  uint32_t Scale = 0;
+  if (!parseScale(S, Scale)) {
+    std::fprintf(stderr,
+                 "RDBT_BENCH_SCALE: bad scale '%s' (want a positive "
+                 "integer)\n", S);
+    std::exit(2);
+  }
+  return Scale;
 }
 
 inline RunStats fromReport(const vm::RunReport &R, bool EngineRun = true) {
@@ -187,24 +163,12 @@ inline RunStats fromReport(const vm::RunReport &R, bool EngineRun = true) {
   return S;
 }
 
-inline RunStats runWorkloadImpl(const std::string &Name, Config C,
-                                uint32_t Scale) {
-  vm::Vm V(vm::VmConfig()
-               .workload(Name)
-               .scale(Scale)
-               .translator(configKind(C))
-               .wallBudget(benchWallBudget(C)));
-  if (!V.valid())
-    return RunStats();
-  return fromReport(V.run(), C != Config::Native);
-}
-
 //===----------------------------------------------------------------------===//
-// Optional BENCH_*.json emission (see RDBT_BENCH_JSON above). Every
-// runWorkload() call is captured with its raw counters; binaries add their
-// derived figure series with recordMetric(). writeBenchJson() at the end of
-// main() dumps both, so downstream tooling can recompute any figure from the
-// raw runs.
+// Optional BENCH_*.json emission (see RDBT_BENCH_JSON above). Binaries
+// push the raw counters of their runs into JsonRecorder::Runs and add
+// their derived series with recordMetric(). writeBenchJson() at the end of
+// main() dumps both, so downstream tooling can recompute any series from
+// the raw runs.
 //===----------------------------------------------------------------------===//
 
 struct JsonRecorder {
@@ -226,13 +190,6 @@ struct JsonRecorder {
     return R;
   }
 };
-
-inline RunStats runWorkload(const std::string &Name, Config C,
-                            uint32_t Scale) {
-  const RunStats S = runWorkloadImpl(Name, C, Scale);
-  JsonRecorder::get().Runs.push_back({Name, configName(C), S});
-  return S;
-}
 
 /// Records one point of a derived series (e.g. series "speedup_fullopt",
 /// point "perlbench", value 1.36) for BENCH_*.json emission.
@@ -368,7 +325,9 @@ inline std::string formatMatrixJson(const std::vector<MatrixCell> &Cells,
 
 /// Writes BENCH_<BenchName>.json when RDBT_BENCH_JSON is set; no-op
 /// otherwise. Call once at the end of each bench binary's main().
-inline void writeBenchJson(const char *BenchName) {
+/// \p Scale is the workload scale the recorded runs used; a bench that
+/// runs no scaled workload passes 0 and the document has no "scale".
+inline void writeBenchJson(const char *BenchName, uint32_t Scale) {
   const char *Env = std::getenv("RDBT_BENCH_JSON");
   if (!Env)
     return;
@@ -381,8 +340,10 @@ inline void writeBenchJson(const char *BenchName) {
     return;
   }
   const JsonRecorder &R = JsonRecorder::get();
-  OS << "{\n  \"bench\": \"" << jsonEscape(BenchName) << "\",\n"
-     << "  \"scale\": " << benchScale() << ",\n  \"runs\": [";
+  OS << "{\n  \"bench\": \"" << jsonEscape(BenchName) << "\",\n";
+  if (Scale)
+    OS << "  \"scale\": " << Scale << ",\n";
+  OS << "  \"runs\": [";
   for (size_t I = 0; I < R.Runs.size(); ++I) {
     const JsonRecorder::Run &Run = R.Runs[I];
     OS << (I ? ",\n" : "\n") << "    {\"workload\": \""
@@ -402,22 +363,6 @@ inline void writeBenchJson(const char *BenchName) {
   std::printf("\nwrote %s\n", Path.c_str());
 }
 
-inline std::vector<std::string> specNames() {
-  std::vector<std::string> Names;
-  for (const auto &W : guestsw::workloads())
-    if (W.IsSpecProxy)
-      Names.push_back(W.Name);
-  return Names;
-}
-
-inline std::vector<std::string> realWorldNames() {
-  std::vector<std::string> Names;
-  for (const auto &W : guestsw::workloads())
-    if (W.IsRealWorld)
-      Names.push_back(W.Name);
-  return Names;
-}
-
 inline double geomean(const std::vector<double> &Values) {
   if (Values.empty())
     return 0;
@@ -425,6 +370,226 @@ inline double geomean(const std::vector<double> &Values) {
   for (const double V : Values)
     LogSum += std::log(V);
   return std::exp(LogSum / static_cast<double>(Values.size()));
+}
+
+//===----------------------------------------------------------------------===//
+// The paper's Table I and Figs. 14-19 as a view over the scenario matrix.
+// Every quantity they plot is a ratio of exact counters the matrix already
+// holds, so each figure is data: a workload set, the registry kinds a row
+// reads, and one ratio per column. rdbt_scenarios --jobs N prints them.
+//===----------------------------------------------------------------------===//
+
+/// The stable matrix cell key "<kind>/<workload>@<scale>".
+inline std::string matrixKey(const std::string &Kind,
+                             const std::string &Workload, uint32_t Scale) {
+  return Kind + "/" + Workload + "@" + std::to_string(Scale);
+}
+
+/// printf into a std::string (one table line at most).
+inline std::string sformat(const char *Fmt, ...) {
+  char Buf[256];
+  va_list Args;
+  va_start(Args, Fmt);
+  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
+  va_end(Args);
+  return Buf;
+}
+
+/// N / D, or 0 for a cell that counted no denominator.
+inline double ratio(double N, double D) { return D != 0 ? N / D : 0; }
+
+struct PaperFigure {
+  /// A row's cells, one per entry of Kinds, in that order.
+  using RowCells = std::vector<const RunStats *>;
+  using Counter = uint64_t RunStats::*;
+  /// One column: Factor * Cells[NumCell].*Num / Cells[DenCell].*Den,
+  /// printed in Width characters ending in Suffix ("x", "%" or "").
+  struct Column {
+    const char *Header;
+    int Width;
+    const char *Suffix;
+    unsigned NumCell;
+    Counter Num;
+    unsigned DenCell;
+    Counter Den;
+    double Factor = 1;
+  };
+  const char *Id;    ///< "table1", "fig14" ... "fig19"
+  const char *Title; ///< printf format taking the scale (%u)
+  bool RealWorld;    ///< rows: IsRealWorld workloads, else IsSpecProxy
+  std::vector<const char *> Kinds;
+  std::vector<Column> Columns;
+  const char *Paper; ///< the paper's published values
+  /// Optional annotations after each workload row (under NoteHeader) and
+  /// after the GEOMEAN row.
+  const char *NoteHeader = nullptr;
+  std::string (*RowNote)(const RowCells &C) = nullptr;
+  std::string (*GeomeanNote)(const std::vector<double> &G) = nullptr;
+};
+
+/// Table I and Figs. 14-19, in the paper's order.
+inline const std::vector<PaperFigure> &paperFigures() {
+  using S = RunStats;
+  static const std::vector<PaperFigure> Figures = {
+      {"table1",
+       "Table I: distribution of guest instructions requiring CPU state "
+       "coordination\n(measured under the QEMU-like baseline, scale %u)",
+       false, {"qemu"},
+       {{"System-level", 16, "%", 0, &S::SysInstrs, 0, &S::GuestInstrs, 100},
+        {"Memory", 14, "%", 0, &S::MemInstrs, 0, &S::GuestInstrs, 100},
+        {"Interrupt check", 16, "%", 0, &S::IrqChecks, 0, &S::GuestInstrs,
+         100}},
+       "paper (Table I geomean): system 0.25%, memory 33.46%, interrupt "
+       "check 15.12%"},
+      {"fig14", "Fig. 14: speedup over the QEMU baseline (scale %u)", false,
+       {"qemu", "rule:base", "rule:scheduling"},
+       {{"qemu", 10, "x", 0, &S::Wall, 0, &S::Wall},
+        {"rule-base", 10, "x", 0, &S::Wall, 1, &S::Wall},
+        {"full-opt", 10, "x", 0, &S::Wall, 2, &S::Wall}},
+       "paper: rule-base 0.95x (5% slowdown), full-opt 1.36x;\n"
+       "       48.83% of instructions need coordination, reduced to 24.61%",
+       "(coordination-instr share base->full)",
+       // The share of rule-base guest instructions needing coordination,
+       // and that share scaled by the sync ops full-opt keeps (§IV-B).
+       [](const PaperFigure::RowCells &C) {
+         const RunStats &B = *C[1], &F = *C[2];
+         const double Share = ratio(
+             100.0 * (B.SysInstrs + B.MemInstrs + B.IrqChecks), B.GuestInstrs);
+         return sformat("  (%.1f%% -> %.1f%% sync ops)", Share,
+                        Share * ratio(F.SyncOps, B.SyncOps));
+       }},
+      {"fig15", "Fig. 15: host instructions per guest instruction (scale %u)",
+       false, {"qemu", "rule:scheduling"},
+       {{"qemu", 12, "", 0, &S::Wall, 0, &S::GuestInstrs},
+        {"full-opt", 12, "", 1, &S::Wall, 1, &S::GuestInstrs}},
+       "paper: qemu 17.39, full-opt 15.40 (-11.44%)", nullptr, nullptr,
+       [](const std::vector<double> &G) {
+         return sformat("   (-%.1f%%)", 100.0 * (1.0 - G[1] / G[0]));
+       }},
+      {"fig16", "Fig. 16: cumulative speedup over QEMU (scale %u)", false,
+       {"qemu", "rule:base", "rule:reduction", "rule:elimination",
+        "rule:scheduling"},
+       {{"base", 10, "x", 0, &S::Wall, 1, &S::Wall},
+        {"+reduction", 12, "x", 0, &S::Wall, 2, &S::Wall},
+        {"+elimination", 13, "x", 0, &S::Wall, 3, &S::Wall},
+        {"+scheduling", 12, "x", 0, &S::Wall, 4, &S::Wall}},
+       "paper: base 0.95x, +reduction 1.22x, +elimination 1.30x, "
+       "+scheduling 1.36x"},
+      {"fig17",
+       "Fig. 17: sync host-instructions per guest instruction (scale %u)",
+       false,
+       {"rule:base", "rule:reduction", "rule:elimination", "rule:scheduling"},
+       {{"base", 10, "", 0, &S::SyncInstrs, 0, &S::GuestInstrs},
+        {"+reduction", 12, "", 1, &S::SyncInstrs, 1, &S::GuestInstrs},
+        {"+elimination", 13, "", 2, &S::SyncInstrs, 2, &S::GuestInstrs},
+        {"+scheduling", 12, "", 3, &S::SyncInstrs, 3, &S::GuestInstrs}},
+       "paper: base 8.36, +reduction 1.79, +elimination 1.33, "
+       "+scheduling 0.89"},
+      {"fig18",
+       "Fig. 18: slowdown vs native execution (lower is better, scale %u)",
+       false, {"native", "qemu", "rule:scheduling"},
+       {{"qemu", 12, "x", 1, &S::Wall, 0, &S::Wall},
+        {"full-opt", 12, "x", 2, &S::Wall, 0, &S::Wall}},
+       "paper: qemu 18.73x, full-opt 13.83x"},
+      {"fig19", "Fig. 19: real-world application speedup over QEMU (scale %u)",
+       true, {"qemu", "rule:scheduling"},
+       {{"qemu", 10, "x", 0, &S::Wall, 0, &S::Wall},
+        {"full-opt", 10, "x", 0, &S::Wall, 1, &S::Wall}},
+       "paper: memcached 1.13x, sqlite ~1.2x, fileio 1.08x, untar 1.09x, "
+       "cpu-prime ~1.3x; geomean 1.15x"},
+  };
+  return Figures;
+}
+
+/// One figure computed over matrix cells: a row per workload, then the
+/// geomean of each column.
+struct FigureView {
+  struct Row {
+    std::string Workload;
+    /// Key of the first cell that is missing or not Ok; such a row has
+    /// no values and is left out of every geomean.
+    std::string FailedKey;
+    std::vector<double> Values;
+    std::string Note;
+  };
+  std::vector<Row> Rows;
+  std::vector<double> Geomeans;
+};
+
+inline FigureView computeFigure(const PaperFigure &F,
+                                const std::vector<MatrixCell> &Cells,
+                                uint32_t Scale) {
+  std::map<std::string, const RunStats *> ByKey;
+  for (const MatrixCell &C : Cells)
+    ByKey.emplace(C.Key, &C.S);
+  FigureView V;
+  std::vector<std::vector<double>> Series(F.Columns.size());
+  for (const auto &W : guestsw::workloads()) {
+    if (!(F.RealWorld ? W.IsRealWorld : W.IsSpecProxy))
+      continue;
+    FigureView::Row Row{W.Name, "", {}, ""};
+    PaperFigure::RowCells RowCells;
+    for (const char *Kind : F.Kinds) {
+      const auto It = ByKey.find(matrixKey(Kind, W.Name, Scale));
+      if (It == ByKey.end() || !It->second->Ok) {
+        Row.FailedKey = matrixKey(Kind, W.Name, Scale);
+        break;
+      }
+      RowCells.push_back(It->second);
+    }
+    for (size_t I = 0; Row.FailedKey.empty() && I < F.Columns.size(); ++I) {
+      const PaperFigure::Column &C = F.Columns[I];
+      Row.Values.push_back(ratio(C.Factor * (RowCells[C.NumCell]->*C.Num),
+                                 RowCells[C.DenCell]->*C.Den));
+      Series[I].push_back(Row.Values.back());
+    }
+    if (Row.FailedKey.empty() && F.RowNote)
+      Row.Note = F.RowNote(RowCells);
+    V.Rows.push_back(std::move(Row));
+  }
+  for (const std::vector<double> &Values : Series)
+    V.Geomeans.push_back(geomean(Values));
+  return V;
+}
+
+/// Prints a computed figure: title, header, one line per workload
+/// ("FAILED (<key>)" for a failed row), GEOMEAN, and the paper's values.
+inline std::string formatFigure(const PaperFigure &F, const FigureView &V,
+                                uint32_t Scale) {
+  const auto Line = [&F](const std::string &Label,
+                         const std::vector<double> &Values) {
+    std::string Out = sformat("%-12s", Label.c_str());
+    for (size_t I = 0; I < F.Columns.size(); ++I) {
+      const PaperFigure::Column &C = F.Columns[I];
+      const int Digits = C.Width - static_cast<int>(std::strlen(C.Suffix));
+      Out += sformat(" %*.2f%s", Digits, Values[I], C.Suffix);
+    }
+    return Out;
+  };
+  std::string Out = sformat(F.Title, Scale) + "\n\n" +
+                    sformat("%-12s", F.RealWorld ? "Application" : "Benchmark");
+  for (const PaperFigure::Column &C : F.Columns)
+    Out += sformat(" %*s", C.Width, C.Header);
+  Out += F.NoteHeader ? std::string("  ") + F.NoteHeader + "\n" : "\n";
+  for (const FigureView::Row &R : V.Rows)
+    Out += R.FailedKey.empty()
+               ? Line(R.Workload, R.Values) + R.Note + "\n"
+               : sformat("%-12s  FAILED (%s)\n", R.Workload.c_str(),
+                         R.FailedKey.c_str());
+  Out += Line("GEOMEAN", V.Geomeans) +
+         (F.GeomeanNote ? F.GeomeanNote(V.Geomeans) : std::string()) +
+         "\n\n" + F.Paper + "\n";
+  return Out;
+}
+
+/// Every paper figure over one matrix, separated by blank lines.
+inline std::string formatPaperFigures(const std::vector<MatrixCell> &Cells,
+                                      uint32_t Scale) {
+  std::string Out;
+  for (const PaperFigure &F : paperFigures())
+    Out += (Out.empty() ? "" : "\n") +
+           formatFigure(F, computeFigure(F, Cells, Scale), Scale);
+  return Out;
 }
 
 } // namespace bench

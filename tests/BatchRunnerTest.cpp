@@ -17,6 +17,10 @@
 ///    run — counter-for-counter identical to Vm::run.
 ///  * Error containment: an invalid config fails its own cell, not the
 ///    batch.
+///  * The paper-figure view: Table I and Figs. 14-19 computed from
+///    matrix cells give the ratios and geomeans their counters imply,
+///    and a failed cell turns its workload's row into a FAILED row that
+///    no geomean includes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +29,8 @@
 #include "vm/Vm.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 using namespace rdbt;
 
@@ -153,6 +159,128 @@ TEST(BatchRunner, EmptyBatchAndZeroJobsAreSafe) {
   EXPECT_TRUE(vm::BatchRunner(0).run({}).empty());
   EXPECT_EQ(vm::BatchRunner(0).jobs(), 1u);
   EXPECT_GE(vm::BatchRunner::hardwareJobs(), 1u);
+}
+
+/// The paper figure with the given id.
+const bench::PaperFigure &paperFigure(const std::string &Id) {
+  for (const bench::PaperFigure &F : bench::paperFigures())
+    if (F.Id == Id)
+      return F;
+  ADD_FAILURE() << "no paper figure '" << Id << "'";
+  return bench::paperFigures().front();
+}
+
+bench::FigureView figure(const std::string &Id,
+                         const std::vector<bench::MatrixCell> &Cells) {
+  return bench::computeFigure(paperFigure(Id), Cells, 1);
+}
+
+bool near(double A, double B) { return std::fabs(A - B) < 1e-9 * B; }
+
+/// A synthetic scale-1 matrix: every figure kind on every workload, each
+/// retiring 1000 guest instructions. qemu's wall is doubled on every
+/// other workload, so speedups differ per row; \p Lift is the factor
+/// that doubling leaves on a SPEC speedup geomean.
+std::vector<bench::MatrixCell> syntheticMatrix(double &Lift) {
+  struct Kind {
+    const char *Name;
+    uint64_t Wall, SyncInstrs, SyncOps;
+  };
+  const Kind Kinds[] = {
+      {"native", 1000, 0, 0},           {"qemu", 12000, 0, 0},
+      {"rule:base", 16000, 8000, 400},  {"rule:reduction", 10000, 2000, 200},
+      {"rule:elimination", 8000, 1500, 150},
+      {"rule:scheduling", 6000, 1000, 100}};
+  std::vector<bench::MatrixCell> Cells;
+  unsigned Index = 0, Spec = 0, Doubled = 0;
+  for (const auto &W : guestsw::workloads()) {
+    const bool Double = Index++ % 2 == 1;
+    Spec += W.IsSpecProxy;
+    Doubled += W.IsSpecProxy && Double;
+    for (const Kind &K : Kinds) {
+      bench::MatrixCell C{bench::matrixKey(K.Name, W.Name, 1), {}};
+      C.S.Ok = true;
+      C.S.GuestInstrs = 1000;
+      C.S.SysInstrs = 5;
+      C.S.MemInstrs = 300;
+      C.S.IrqChecks = 100;
+      C.S.Wall = K.Wall * (Double && std::string(K.Name) == "qemu" ? 2 : 1);
+      C.S.SyncInstrs = K.SyncInstrs;
+      C.S.SyncOps = K.SyncOps;
+      Cells.push_back(C);
+    }
+  }
+  Lift = std::pow(2.0, static_cast<double>(Doubled) / Spec);
+  return Cells;
+}
+
+TEST(PaperFigures, RatiosAndGeomeansFollowFromTheCounters) {
+  double Lift = 0;
+  const std::vector<bench::MatrixCell> Cells = syntheticMatrix(Lift);
+
+  // Table I: 5, 300 and 100 of 1000 guest instructions under qemu.
+  const bench::FigureView T1 = figure("table1", Cells);
+  const double Shares[] = {0.5, 30.0, 10.0};
+  for (unsigned I = 0; I < 3; ++I) {
+    EXPECT_TRUE(near(T1.Rows[0].Values[I], Shares[I])) << I;
+    EXPECT_TRUE(near(T1.Geomeans[I], Shares[I])) << T1.Geomeans[I];
+  }
+
+  // Fig. 14: qemu 12000 over rule-base 16000 and full-opt 6000 walls;
+  // the second row's qemu wall is doubled.
+  const bench::FigureView F14 = figure("fig14", Cells);
+  EXPECT_TRUE(near(F14.Rows[0].Values[0], 1.0));
+  EXPECT_TRUE(near(F14.Rows[0].Values[1], 0.75)) << F14.Rows[0].Values[1];
+  EXPECT_TRUE(near(F14.Rows[1].Values[2], 4.0)) << F14.Rows[1].Values[2];
+  // (5 + 300 + 100) / 1000 need coordination; full-opt keeps 1/4 of
+  // rule-base's sync ops.
+  EXPECT_EQ(F14.Rows[0].Note, "  (40.5% -> 10.1% sync ops)");
+  EXPECT_TRUE(near(F14.Geomeans[0], 1.0)) << F14.Geomeans[0];
+  EXPECT_TRUE(near(F14.Geomeans[2], 2.0 * Lift)) << F14.Geomeans[2];
+
+  const bench::FigureView F16 = figure("fig16", Cells);
+  const bench::FigureView F17 = figure("fig17", Cells);
+  const double Speedups[] = {0.75, 1.2, 1.5, 2.0};
+  const double SyncPerGuest[] = {8.0, 2.0, 1.5, 1.0};
+  for (unsigned L = 0; L < 4; ++L) {
+    EXPECT_TRUE(near(F16.Rows[0].Values[L], Speedups[L])) << L;
+    EXPECT_TRUE(near(F16.Geomeans[L], Speedups[L] * Lift)) << L;
+    EXPECT_TRUE(near(F17.Rows[1].Values[L], SyncPerGuest[L])) << L;
+    EXPECT_TRUE(near(F17.Geomeans[L], SyncPerGuest[L])) << L;
+  }
+}
+
+TEST(PaperFigures, FailedCellGivesAFailedRowOutsideTheGeomean) {
+  double Lift = 0;
+  std::vector<bench::MatrixCell> Cells = syntheticMatrix(Lift);
+  const bench::FigureView Clean = figure("fig14", Cells);
+  // Fail rule:base on the first SPEC proxy, one without a doubled wall.
+  const std::string Name = Clean.Rows[0].Workload;
+  const std::string Key = bench::matrixKey("rule:base", Name, 1);
+  for (bench::MatrixCell &C : Cells)
+    C.S.Ok = C.Key != Key;
+
+  const bench::FigureView V = figure("fig14", Cells);
+  ASSERT_EQ(V.Rows.size(), Clean.Rows.size());
+  EXPECT_EQ(V.Rows[0].FailedKey, Key);
+  EXPECT_TRUE(V.Rows[0].Values.empty());
+  const double Rest = static_cast<double>(V.Rows.size() - 1);
+  EXPECT_TRUE(near(V.Geomeans[2],
+                   2.0 * std::pow(Lift, V.Rows.size() / Rest)))
+      << "the failed workload must be left out: " << V.Geomeans[2];
+  const std::string Text = bench::formatFigure(paperFigure("fig14"), V, 1);
+  EXPECT_NE(Text.find("FAILED (" + Key + ")"), std::string::npos) << Text;
+  // Table I reads only qemu cells, so the workload stays in it.
+  EXPECT_TRUE(figure("table1", Cells).Rows[0].FailedKey.empty());
+
+  // A missing cell fails its row the same way.
+  std::vector<bench::MatrixCell> NoNative;
+  for (const bench::MatrixCell &C : Cells)
+    if (C.Key.compare(0, 7, "native/") != 0)
+      NoNative.push_back(C);
+  const bench::FigureView F18 = figure("fig18", NoNative);
+  EXPECT_EQ(F18.Rows[0].FailedKey, bench::matrixKey("native", Name, 1));
+  EXPECT_EQ(F18.Geomeans[0], 0.0);
 }
 
 } // namespace

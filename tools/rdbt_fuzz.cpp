@@ -532,7 +532,7 @@ int main(int Argc, char **Argv) {
                         FuzzSecs > 0 ? ProgramsRun / FuzzSecs : 0);
     bench::recordMetric("fuzz_mismatches", "total",
                         static_cast<double>(Mismatches.size()));
-    bench::writeBenchJson("fuzz");
+    bench::writeBenchJson("fuzz", /*Scale=*/0);
   }
 
   // --- Exit ---------------------------------------------------------------

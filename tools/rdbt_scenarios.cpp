@@ -20,10 +20,12 @@
 //                  [--trace-dir D] [scale]
 //     Full matrix: every registered kind x every workload at the given
 //     scale (default 1), executed by vm/BatchRunner on N worker threads.
-//     --json writes the merged BENCH_matrix.json — cells keyed
-//     "<kind>/<workload>@<scale>" in submission order, byte-identical
-//     regardless of N (the perf-gate baseline artifact; see
-//     tools/rdbt_perfgate and bench/README.md).
+//     After the run it prints the paper's Table I and Figs. 14-19,
+//     computed from the matrix cells (bench::PaperFigure in
+//     bench/BenchCommon.h). --json writes the merged BENCH_matrix.json —
+//     cells keyed "<kind>/<workload>@<scale>" in submission order,
+//     byte-identical regardless of N (the perf-gate baseline artifact;
+//     see tools/rdbt_perfgate and bench/README.md).
 //
 //     --cache-dir D runs the matrix twice against the persistent
 //     translation cache in D (dbt/CodeCacheIo.h): a cold pass that
@@ -244,7 +246,7 @@ int runMatrix(unsigned Jobs, uint32_t Scale, bool Json,
       Cell C;
       // The key names the kind, never the corpus path (or cache dir), so
       // baselines stay stable across checkouts.
-      C.Key = Kind + "/" + W.Name + "@" + std::to_string(Scale);
+      C.Key = bench::matrixKey(Kind, W.Name, Scale);
       C.Kind = Resolved;
       C.Workload = W.Name;
       Cells.push_back(std::move(C));
@@ -263,11 +265,12 @@ int runMatrix(unsigned Jobs, uint32_t Scale, bool Json,
   int Failures = 0;
   const std::vector<vm::RunReport> Cold = runBatch(
       Cells, Boards, Scale, Jobs, CacheDir, TraceDir, "", Failures);
+  const std::vector<bench::MatrixCell> ColdCells = toMatrixCells(Cells, Cold);
 
-  if (Json &&
-      !writeMatrixFile(bench::formatMatrixJson(toMatrixCells(Cells, Cold),
-                                               Scale),
-                       "BENCH_matrix.json"))
+  std::printf("\n%s", bench::formatPaperFigures(ColdCells, Scale).c_str());
+
+  if (Json && !writeMatrixFile(bench::formatMatrixJson(ColdCells, Scale),
+                               "BENCH_matrix.json"))
     ++Failures;
 
   if (!CacheDir.empty()) {
@@ -415,17 +418,15 @@ int main(int argc, char **argv) {
     }
     if (!HaveScale && argv[I][0] != '-') {
       // In matrix mode the only positional is the scale; reject
-      // non-numeric values instead of letting atoi turn a misplaced
-      // workload name into scale 0 (and a degenerate "@0" baseline).
-      const int Parsed = std::atoi(argv[I]);
-      if (Parsed <= 0) {
+      // non-numeric values instead of turning a misplaced workload name
+      // into a degenerate "@0" baseline.
+      if (!bench::parseScale(argv[I], Scale)) {
         std::fprintf(stderr, "invalid scale '%s'%s\n", argv[I],
                      Matrix ? " (matrix mode runs every workload; the "
                               "only positional argument is the scale)"
                             : "");
         return 2;
       }
-      Scale = static_cast<uint32_t>(Parsed);
       HaveScale = true;
       continue;
     }
@@ -561,7 +562,7 @@ int main(int argc, char **argv) {
     // --json defaults the output directory to the current one.
     if (!std::getenv("RDBT_BENCH_JSON"))
       setenv("RDBT_BENCH_JSON", "1", /*overwrite=*/0);
-    bench::writeBenchJson("scenarios");
+    bench::writeBenchJson("scenarios", Scale);
   }
 
   if (Failures) {
