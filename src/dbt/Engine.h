@@ -119,8 +119,8 @@ public:
   void setObs(obs::TraceSink *Sink, obs::Metrics *M);
 
   /// Turns on per-TB execution counting in the host machine (the
-  /// hot-block profiler's raw data; see Vm::hotBlocks). Counts index by
-  /// TB id and never feed any simulated counter.
+  /// hot-block profiler's raw data; see RunReport::HotBlocks). Counts
+  /// index by TB id and never feed any simulated counter.
   void enableTbExecProfile() { Machine.TbExecs = &TbExecs_; }
   const std::vector<uint64_t> &tbExecCounts() const { return TbExecs_; }
 

@@ -24,9 +24,30 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace rdbt {
 namespace vm {
+
+/// One entry of the hot-block profile (src/obs/): a live TB ranked by
+/// execution count, with both disassemblies and rule-coverage
+/// attribution.
+struct HotBlock {
+  int TbId = -1;
+  uint32_t GuestPc = 0;
+  uint64_t Execs = 0; ///< times the host machine entered this TB
+  /// This TB's share of all retired guest instructions
+  /// (Execs * NumGuestInstrs / Counters.GuestInstrs).
+  double ExecShare = 0;
+  uint32_t NumGuestInstrs = 0;
+  /// Rule-coverage attribution: guest instructions translated inline vs
+  /// left to the emulate helper (counted from the host code, so it is
+  /// exact for this block as translated).
+  uint32_t CoveredInstrs = 0;
+  uint32_t EmulatedInstrs = 0;
+  std::string GuestDisasm; ///< one line per guest instruction
+  std::string HostDisasm;  ///< host::disassembleBlock(), elisions marked
+};
 
 struct RunReport {
   /// Why the run ended. Ok is the common assertion: a clean guest
@@ -124,6 +145,13 @@ struct RunReport {
     uint64_t GapExecs = 0; ///< dynamic executions of mined fallbacks
   };
   ProfileStats Profile;
+
+  /// The top-N live TBs by execution count (ties by TB id), populated
+  /// only when VmConfig::hotBlocks(N) armed an engine session. Blocks
+  /// invalidated since their last execution no longer have code to
+  /// attribute and are skipped. Host-side observability: arming the
+  /// profile leaves every counter, console byte and Final untouched.
+  std::vector<HotBlock> HotBlocks;
 
   /// Snapshot of the guest CPU when the run stopped: general registers
   /// (r0-r15) and the packed NZCV word, taken after flag

@@ -72,7 +72,7 @@ public:
     bool NeedsRules = false; ///< factory requires Context::Rules
     /// Parameterized kind: addressed as "<Name>=<param>" (find() matches
     /// the prefix) and unusable without the parameter — enumeration-style
-    /// drivers (rdbt_scenarios) skip these.
+    /// drivers (rdbt_scenarios) skip these unless they can supply one.
     bool TakesParam = false;
     Factory Make;           ///< null for interpreter-executed kinds
   };

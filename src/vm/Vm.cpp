@@ -175,7 +175,7 @@ void Vm::init() {
   Engine_->setRunawayGuard(Cfg.runawayGuard());
   if (Sink_)
     Engine_->setObs(Sink_.get(), Metrics_.get());
-  if (Cfg.profileHotBlocks())
+  if (Cfg.hotBlocks())
     Engine_->enableTbExecProfile();
 
   AdoptedWarm_ = Snap && Snap->HasRun_;
@@ -323,6 +323,59 @@ Vm::~Vm() {
     Sink_->write(Cfg.trace(), Cfg.toSpec());
 }
 
+/// The top-\p N live TBs of \p Engine by execution count (ties by TB
+/// id), from the per-TB counts VmConfig::hotBlocks armed.
+static std::vector<HotBlock> collectHotBlocks(dbt::DbtEngine &Engine,
+                                              size_t N) {
+  std::vector<HotBlock> Out;
+  const std::vector<uint64_t> &Execs = Engine.tbExecCounts();
+  dbt::CodeCache &Cache = Engine.codeCache();
+  const uint64_t TotalGuest = Engine.counters().GuestInstrs;
+
+  for (size_t Id = 0; Id < Execs.size(); ++Id) {
+    if (!Execs[Id])
+      continue;
+    // Blocks invalidated since they last ran have no code left to
+    // attribute; skip them rather than report half a profile line.
+    const host::HostBlock *B = Cache.block(static_cast<int>(Id));
+    if (!B)
+      continue;
+    HotBlock H;
+    H.TbId = static_cast<int>(Id);
+    H.GuestPc = B->GuestPc;
+    H.Execs = Execs[Id];
+    H.NumGuestInstrs = B->NumGuestInstrs;
+    if (TotalGuest)
+      H.ExecShare = static_cast<double>(H.Execs) * H.NumGuestInstrs /
+                    static_cast<double>(TotalGuest);
+    // Rule-coverage attribution straight from the host code: every
+    // emulate-helper call is one guest instruction the translator left
+    // to the interpreter; the rest were translated inline.
+    uint32_t Emulated = 0;
+    for (const host::HInst &HI : B->Code)
+      if (HI.Op == host::HOp::CallHelper && HI.Helper == dbt::HelperEmulate)
+        ++Emulated;
+    H.EmulatedInstrs = std::min(Emulated, H.NumGuestInstrs);
+    H.CoveredInstrs = H.NumGuestInstrs - H.EmulatedInstrs;
+    std::ostringstream GD;
+    for (size_t I = 0; I < B->GuestWords.size(); ++I) {
+      const uint32_t Pc = B->GuestPc + static_cast<uint32_t>(I) * 4;
+      GD << "  " << std::hex << Pc << std::dec << ": "
+         << arm::disassemble(arm::decode(B->GuestWords[I]), Pc) << "\n";
+    }
+    H.GuestDisasm = GD.str();
+    H.HostDisasm = host::disassembleBlock(*B, &Cache.links(H.TbId));
+    Out.push_back(std::move(H));
+  }
+
+  std::sort(Out.begin(), Out.end(), [](const HotBlock &A, const HotBlock &B) {
+    return A.Execs != B.Execs ? A.Execs > B.Execs : A.TbId < B.TbId;
+  });
+  if (Out.size() > N)
+    Out.resize(N);
+  return Out;
+}
+
 RunReport Vm::run() { return run(Cfg.wallBudget()); }
 
 RunReport Vm::run(uint64_t WallBudget) {
@@ -366,6 +419,8 @@ RunReport Vm::run(uint64_t WallBudget) {
     R.Engine = Engine_->Stats;
     R.Cache = Engine_->codeCache().Stats;
     R.Cache.LiveTbs = Engine_->codeCache().size();
+    if (Cfg.hotBlocks())
+      R.HotBlocks = collectHotBlocks(*Engine_, Cfg.hotBlocks());
     if (const auto *Rule = dynamic_cast<core::RuleTranslator *>(Xlat_.get())) {
       R.RuleCoveredInstrs = Rule->RuleCoveredInstrs;
       R.FallbackInstrs = Rule->FallbackInstrs;
@@ -473,56 +528,4 @@ std::unique_ptr<Vm> Vm::forkFrom(const Snapshot &S) {
   VmConfig C = S.config();
   C.snapshot(&S);
   return std::make_unique<Vm>(std::move(C));
-}
-
-std::vector<Vm::HotBlock> Vm::hotBlocks(size_t N) {
-  std::vector<HotBlock> Out;
-  if (!valid() || !Engine_ || N == 0)
-    return Out;
-  const std::vector<uint64_t> &Execs = Engine_->tbExecCounts();
-  dbt::CodeCache &Cache = Engine_->codeCache();
-  const uint64_t TotalGuest = Engine_->counters().GuestInstrs;
-
-  for (size_t Id = 0; Id < Execs.size(); ++Id) {
-    if (!Execs[Id])
-      continue;
-    // Blocks invalidated since they last ran have no code left to
-    // attribute; skip them rather than report half a profile line.
-    const host::HostBlock *B = Cache.block(static_cast<int>(Id));
-    if (!B)
-      continue;
-    HotBlock H;
-    H.TbId = static_cast<int>(Id);
-    H.GuestPc = B->GuestPc;
-    H.Execs = Execs[Id];
-    H.NumGuestInstrs = B->NumGuestInstrs;
-    if (TotalGuest)
-      H.ExecShare = static_cast<double>(H.Execs) * H.NumGuestInstrs /
-                    static_cast<double>(TotalGuest);
-    // Rule-coverage attribution straight from the host code: every
-    // emulate-helper call is one guest instruction the translator left
-    // to the interpreter; the rest were translated inline.
-    uint32_t Emulated = 0;
-    for (const host::HInst &HI : B->Code)
-      if (HI.Op == host::HOp::CallHelper && HI.Helper == dbt::HelperEmulate)
-        ++Emulated;
-    H.EmulatedInstrs = std::min(Emulated, H.NumGuestInstrs);
-    H.CoveredInstrs = H.NumGuestInstrs - H.EmulatedInstrs;
-    std::ostringstream GD;
-    for (size_t I = 0; I < B->GuestWords.size(); ++I) {
-      const uint32_t Pc = B->GuestPc + static_cast<uint32_t>(I) * 4;
-      GD << "  " << std::hex << Pc << std::dec << ": "
-         << arm::disassemble(arm::decode(B->GuestWords[I]), Pc) << "\n";
-    }
-    H.GuestDisasm = GD.str();
-    H.HostDisasm = host::disassembleBlock(*B, &Cache.links(H.TbId));
-    Out.push_back(std::move(H));
-  }
-
-  std::sort(Out.begin(), Out.end(), [](const HotBlock &A, const HotBlock &B) {
-    return A.Execs != B.Execs ? A.Execs > B.Execs : A.TbId < B.TbId;
-  });
-  if (Out.size() > N)
-    Out.resize(N);
-  return Out;
 }

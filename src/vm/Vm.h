@@ -44,7 +44,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace rdbt {
 namespace vm {
@@ -101,37 +100,10 @@ public:
   bool forked() const { return Forked_; }
 
   /// The resolved persistent-cache file path ("" when persistence is
-  /// off) and its key — tooling hooks (rdbt_scenarios prints them with
-  /// --verbose-cache; tests forge stale files from the key).
+  /// off) and its key — tooling hooks (tests forge stale files from the
+  /// key).
   const std::string &cacheFilePath() const { return CachePath_; }
   const dbt::CacheKey &cacheKey() const { return CacheKey_; }
-
-  // --- Hot-block profiler (src/obs/) --------------------------------------
-
-  /// One entry of the hot-block profile: a live TB ranked by execution
-  /// count, with both disassemblies and rule-coverage attribution.
-  struct HotBlock {
-    int TbId = -1;
-    uint32_t GuestPc = 0;
-    uint64_t Execs = 0; ///< times the host machine entered this TB
-    /// This TB's share of all retired guest instructions
-    /// (Execs * NumGuestInstrs / Counters.GuestInstrs).
-    double ExecShare = 0;
-    uint32_t NumGuestInstrs = 0;
-    /// Rule-coverage attribution: guest instructions translated inline vs
-    /// left to the emulate helper (counted from the host code, so it is
-    /// exact for this block as translated).
-    uint32_t CoveredInstrs = 0;
-    uint32_t EmulatedInstrs = 0;
-    std::string GuestDisasm; ///< one line per guest instruction
-    std::string HostDisasm;  ///< host::disassembleBlock(), elisions marked
-  };
-
-  /// The top-\p N live TBs by execution count. Requires
-  /// VmConfig::profileHotBlocks (and an engine kind); empty otherwise.
-  /// Blocks invalidated since their last execution no longer have code to
-  /// attribute and are skipped.
-  std::vector<HotBlock> hotBlocks(size_t N);
 
   /// The session's trace sink (null unless VmConfig::trace armed it).
   obs::TraceSink *traceSink() { return Sink_.get(); }

@@ -155,10 +155,11 @@ public:
     TracePath_ = std::move(Path);
     return *this;
   }
-  /// Enables per-TB execution counting for Vm::hotBlocks(). Off by
-  /// default; like tracing, it never feeds any simulated counter.
-  VmConfig &profileHotBlocks(bool On) {
-    ProfileHotBlocks_ = On;
+  /// Enables per-TB execution counting and reports the top \p N blocks
+  /// in RunReport::HotBlocks. 0 (the default) is off; like tracing, it
+  /// never feeds any simulated counter.
+  VmConfig &hotBlocks(size_t N) {
+    HotBlocks_ = N;
     return *this;
   }
 
@@ -181,7 +182,7 @@ public:
   const std::string &persistentCache() const { return PersistentCacheDir_; }
   bool persistentCacheSaveOnExit() const { return PersistentCacheSave_; }
   const std::string &trace() const { return TracePath_; }
-  bool profileHotBlocks() const { return ProfileHotBlocks_; }
+  size_t hotBlocks() const { return HotBlocks_; }
 
   // --- Spec strings -------------------------------------------------------
 
@@ -214,7 +215,7 @@ private:
   std::string PersistentCacheDir_;
   bool PersistentCacheSave_ = true;
   std::string TracePath_;
-  bool ProfileHotBlocks_ = false;
+  size_t HotBlocks_ = 0;
 };
 
 } // namespace vm

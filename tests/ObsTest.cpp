@@ -355,17 +355,17 @@ TEST(ObsVm, TracedRunBitwiseIdenticalToUntraced) {
 }
 
 TEST(ObsVm, HotBlockProfile) {
-  vm::Vm V(cfgFor("rule:scheduling").profileHotBlocks(true));
+  vm::Vm V(cfgFor("rule:scheduling").hotBlocks(5));
   ASSERT_TRUE(V.valid()) << V.error();
   const vm::RunReport R = V.run();
   ASSERT_TRUE(R.Ok);
 
-  const std::vector<vm::Vm::HotBlock> Top = V.hotBlocks(5);
+  const std::vector<vm::HotBlock> &Top = R.HotBlocks;
   ASSERT_FALSE(Top.empty());
   EXPECT_LE(Top.size(), 5u);
   double ShareSum = 0;
   uint64_t PrevExecs = ~0ull;
-  for (const vm::Vm::HotBlock &B : Top) {
+  for (const vm::HotBlock &B : Top) {
     EXPECT_GE(B.TbId, 0);
     EXPECT_GT(B.Execs, 0u);
     EXPECT_LE(B.Execs, PrevExecs) << "ranking must be by execution count";
@@ -383,8 +383,18 @@ TEST(ObsVm, HotBlockProfile) {
   // Without the profile armed, the counts were never collected.
   vm::Vm Plain(cfgFor("rule:scheduling"));
   ASSERT_TRUE(Plain.valid());
-  ASSERT_TRUE(Plain.run().Ok);
-  EXPECT_TRUE(Plain.hotBlocks(5).empty());
+  const vm::RunReport P = Plain.run();
+  ASSERT_TRUE(P.Ok);
+  EXPECT_TRUE(P.HotBlocks.empty());
+
+  // Like tracing, profiling is invisible to simulated state.
+  EXPECT_EQ(std::memcmp(&P.Counters, &R.Counters, sizeof(P.Counters)), 0)
+      << "the hot-block profile perturbed the execution counters";
+  EXPECT_EQ(P.Console, R.Console);
+  for (int I = 0; I < 16; ++I)
+    EXPECT_EQ(P.Final.Regs[I], R.Final.Regs[I]) << "r" << I;
+  EXPECT_EQ(P.Final.Nzcv, R.Final.Nzcv);
+  EXPECT_EQ(P.Final.ShutdownRequested, R.Final.ShutdownRequested);
 }
 
 TEST(ObsVm, RunReportCarriesMetrics) {

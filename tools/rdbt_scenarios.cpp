@@ -5,49 +5,46 @@
 // rests on: every executor produces the same guest console output and
 // stops with a clean guest shutdown.
 //
-// Two modes:
+//   rdbt_scenarios [--jobs N] [--json] [--corpus F] [--cache-dir D]
+//                  [--trace-dir D] [--hot N] [workload] [scale]
 //
-//   rdbt_scenarios [--json] [--corpus F] [--trace-dir D] [--hot N]
-//                  [workload] [scale]
-//     Single-workload smoke (default: libquantum 1): one row per
-//     registered kind. --json emits BENCH_scenarios.json through the
-//     bench/BenchCommon.h recorder. --hot N turns on the per-TB
-//     execution profiler (src/obs/) and dumps each engine kind's top-N
-//     translation blocks — guest and host disassembly, execution share,
-//     rule-coverage attribution — after its run.
+// The cells are every registered kind x the named workload (default:
+// every workload) at the given scale (default 1), executed by
+// vm/BatchRunner on N worker threads (default 1; 0 = every core). A
+// lone numeric positional is the scale. When the run covers every
+// workload it then prints the paper's Table I and Figs. 14-19, computed
+// from the cells (bench::PaperFigure in bench/BenchCommon.h). --json
+// writes BENCH_matrix.json — cells keyed "<kind>/<workload>@<scale>" in
+// submission order, byte-identical regardless of N (the full matrix is
+// the perf-gate baseline artifact; see tools/rdbt_perfgate and
+// bench/README.md).
 //
-//   rdbt_scenarios --jobs N [--json] [--corpus F] [--cache-dir D]
-//                  [--trace-dir D] [scale]
-//     Full matrix: every registered kind x every workload at the given
-//     scale (default 1), executed by vm/BatchRunner on N worker threads.
-//     After the run it prints the paper's Table I and Figs. 14-19,
-//     computed from the matrix cells (bench::PaperFigure in
-//     bench/BenchCommon.h). --json writes the merged BENCH_matrix.json —
-//     cells keyed "<kind>/<workload>@<scale>" in submission order,
-//     byte-identical regardless of N (the perf-gate baseline artifact;
-//     see tools/rdbt_perfgate and bench/README.md).
+// --cache-dir D runs the cells twice against the persistent
+// translation cache in D (dbt/CodeCacheIo.h): a cold pass that
+// populates it, then a warm pass that must boot every engine cell from
+// the saved files alone — identical console and final state,
+// cache_file_hits == 1, translations == 0. --json additionally writes
+// the warm pass as BENCH_matrix_warm.json (the rdbt_perfgate --warm
+// artifact).
 //
-//     --cache-dir D runs the matrix twice against the persistent
-//     translation cache in D (dbt/CodeCacheIo.h): a cold pass that
-//     populates it, then a warm pass that must boot every engine cell
-//     from the saved files alone — identical console and final state,
-//     cache_file_hits == 1, translations == 0. --json additionally
-//     writes the warm pass as BENCH_matrix_warm.json (the
-//     rdbt_perfgate --warm artifact).
-//
-// --trace-dir D (either mode) arms the observability sink on every
-// cell: each session writes a Chrome trace-event timeline to
+// --trace-dir D arms the observability sink on every cell: each
+// session writes a Chrome trace-event timeline to
 // D/<sanitized-cell-key>.trace.json (warm-pass cells get a -warm
 // suffix) and its matrix JSON grows the obs_* field family. Tracing
 // reads only host wall time — every counter, console byte, and
 // perf-gated field stays bitwise identical to an untraced run
 // (rdbt_perfgate --allow-prefix obs_ is the CI check).
 //
-// The parameterized rule:file kind joins both modes when a corpus file
+// --hot N arms the per-TB execution profiler (src/obs/) on every cell
+// and, after the table, dumps each engine cell's top-N translation
+// blocks — guest and host disassembly, execution share, rule-coverage
+// attribution — in cell order.
+//
+// The parameterized rule:file kind joins the cells when a corpus file
 // resolves: --corpus <path>, else $RDBT_RULE_CORPUS, else the checked-in
 // bench/baselines/reference.rules relative to the working directory —
 // so the learn -> persist -> deploy path is continuously exercised.
-// Without a corpus the kind is skipped, as before.
+// Without a corpus the kind is skipped.
 //
 //===----------------------------------------------------------------------===//
 
@@ -56,6 +53,7 @@
 #include "vm/BatchRunner.h"
 #include "vm/Vm.h"
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -88,14 +86,6 @@ std::string resolveCorpus(const char *Flag) {
   return std::string();
 }
 
-void printRow(const vm::RunReport &R) {
-  std::printf("%-28s %-14s %12llu %14llu %10.2f\n", R.Spec.c_str(),
-              R.stopName(),
-              static_cast<unsigned long long>(R.guestInstrs()),
-              static_cast<unsigned long long>(R.wall()),
-              R.hostPerGuest());
-}
-
 /// A cell key as a file-name stem: '/', ':' and '=' become '_' so
 /// "rule:scheduling/libquantum@1" names exactly one trace file.
 std::string sanitizeKey(const std::string &Key) {
@@ -123,6 +113,18 @@ bool writeMatrixFile(const std::string &Doc, const char *Name) {
   return true;
 }
 
+/// The command line, parsed once in main().
+struct Options {
+  uint32_t Scale = 1;
+  uint32_t Jobs = 1;
+  uint32_t Hot = 0;  ///< --hot N: blocks per engine cell, 0 = off
+  bool Json = false;
+  std::string Only;  ///< the one workload to run; empty = every workload
+  std::string Corpus;
+  std::string CacheDir;
+  std::string TraceDir;
+};
+
 /// One planned matrix cell: the stable key, the kind string handed to
 /// the translator registry (carries the =<param> for rule:file), and the
 /// workload.
@@ -140,42 +142,44 @@ struct Cell {
 /// what a from-scratch session produces — the perf gate's exact-count
 /// baseline holds this. Keyed storage is a std::map so the addresses
 /// handed to VmConfig::snapshot() stay stable while the batch runs.
-std::map<std::string, vm::Snapshot> captureBoards(uint32_t Scale) {
+std::map<std::string, vm::Snapshot> captureBoards(const Options &Opts) {
   std::map<std::string, vm::Snapshot> Snaps;
   for (const auto &W : guestsw::workloads()) {
-    vm::Vm Booter(
-        vm::VmConfig().translator("native").workload(W.Name).scale(Scale));
+    if (!Opts.Only.empty() && Opts.Only != W.Name)
+      continue;
+    vm::Vm Booter(vm::VmConfig().translator("native").workload(W.Name).scale(
+        Opts.Scale));
     if (Booter.valid())
       Snaps.emplace(W.Name, Booter.capture());
   }
   return Snaps;
 }
 
-/// Runs every cell through the batch runner once. \p CacheDir, when
-/// non-empty, arms the persistent translation cache on every cell (a
-/// no-op for non-engine kinds); the cache key includes the guest image
-/// and the translator configuration, so all cells share one directory
-/// without collisions. Consoles are cross-checked per workload.
+/// Runs every cell through the batch runner once. --cache-dir arms the
+/// persistent translation cache on every cell (a no-op for non-engine
+/// kinds); the cache key includes the guest image and the translator
+/// configuration, so all cells share one directory without collisions.
+/// Consoles are cross-checked per workload.
 std::vector<vm::RunReport> runBatch(const std::vector<Cell> &Cells,
                                     const std::map<std::string, vm::Snapshot>
                                         &Boards,
-                                    uint32_t Scale, unsigned Jobs,
-                                    const std::string &CacheDir,
-                                    const std::string &TraceDir,
-                                    const char *TraceSuffix,
-                                    int &Failures) {
+                                    const Options &Opts,
+                                    const char *TraceSuffix, int &Failures) {
   std::vector<vm::VmConfig> Configs;
   Configs.reserve(Cells.size());
   for (const Cell &C : Cells) {
-    vm::VmConfig Cfg =
-        vm::VmConfig().translator(C.Kind).workload(C.Workload).scale(Scale);
-    if (!CacheDir.empty())
-      Cfg.persistentCache(CacheDir);
+    vm::VmConfig Cfg = vm::VmConfig()
+                           .translator(C.Kind)
+                           .workload(C.Workload)
+                           .scale(Opts.Scale)
+                           .hotBlocks(Opts.Hot);
+    if (!Opts.CacheDir.empty())
+      Cfg.persistentCache(Opts.CacheDir);
     // --trace-dir: one timeline per cell. Tracing reads only host wall
     // time, so every matrix counter stays byte-identical to an untraced
     // run — only the obs_* JSON field family appears on top.
-    if (!TraceDir.empty())
-      Cfg.trace(TraceDir + "/" + sanitizeKey(C.Key) + TraceSuffix +
+    if (!Opts.TraceDir.empty())
+      Cfg.trace(Opts.TraceDir + "/" + sanitizeKey(C.Key) + TraceSuffix +
                 ".trace.json");
     const auto It = Boards.find(C.Workload);
     if (It != Boards.end())
@@ -184,14 +188,16 @@ std::vector<vm::RunReport> runBatch(const std::vector<Cell> &Cells,
   }
 
   const std::vector<vm::RunReport> Reports =
-      vm::BatchRunner(Jobs).run(Configs);
+      vm::BatchRunner(Opts.Jobs).run(Configs);
 
   std::printf("%-28s %-14s %12s %14s %10s\n", "spec", "stop", "guest",
               "host cycles", "host/guest");
   std::map<std::string, std::string> RefConsole; // workload -> console
   for (size_t I = 0; I < Reports.size(); ++I) {
     const vm::RunReport &R = Reports[I];
-    printRow(R);
+    std::printf("%-28s %-14s %12llu %14llu %10.2f\n", R.Spec.c_str(),
+                R.stopName(), static_cast<unsigned long long>(R.guestInstrs()),
+                static_cast<unsigned long long>(R.wall()), R.hostPerGuest());
     if (!R.Ok) {
       std::fprintf(stderr, "FAIL: %s stopped with '%s'%s%s\n",
                    Cells[I].Key.c_str(), R.stopName(),
@@ -226,63 +232,100 @@ toMatrixCells(const std::vector<Cell> &Cells,
   return Out;
 }
 
-int runMatrix(unsigned Jobs, uint32_t Scale, bool Json,
-              const std::string &Corpus, const std::string &CacheDir,
-              const std::string &TraceDir) {
+/// Dumps one engine cell's hot-block profile (RunReport::HotBlocks).
+void printHotBlocks(const std::string &Key,
+                    const std::vector<vm::HotBlock> &Blocks) {
+  std::printf("\nhot blocks of %s:\n", Key.c_str());
+  for (size_t BI = 0; BI < Blocks.size(); ++BI) {
+    const vm::HotBlock &B = Blocks[BI];
+    std::printf("\n  #%zu tb %d @ 0x%08x: %llu entries, %.2f%% of "
+                "retired guest instrs\n"
+                "     %u guest instr(s): %u rule-covered, %u via the "
+                "emulate helper\n",
+                BI + 1, B.TbId, B.GuestPc,
+                static_cast<unsigned long long>(B.Execs),
+                B.ExecShare * 100.0, B.NumGuestInstrs, B.CoveredInstrs,
+                B.EmulatedInstrs);
+    std::printf("    guest:\n%s    host:\n", B.GuestDisasm.c_str());
+    // Indent the host disassembly to match.
+    std::string Line;
+    for (char C : B.HostDisasm) {
+      Line += C;
+      if (C == '\n') {
+        std::printf("      %s", Line.c_str());
+        Line.clear();
+      }
+    }
+    if (!Line.empty())
+      std::printf("      %s\n", Line.c_str());
+  }
+}
+
+int runMatrix(const Options &Opts) {
   std::vector<Cell> Cells;
   for (const std::string &Kind : vm::TranslatorRegistry::global().kinds()) {
     const auto *Info = vm::TranslatorRegistry::global().find(Kind);
     std::string Resolved = Kind;
     if (Info && Info->TakesParam) {
-      if (Corpus.empty()) {
+      if (Opts.Corpus.empty()) {
         std::fprintf(stderr,
                      "note: skipping %s (no corpus; pass --corpus or check "
                      "in %s)\n", Kind.c_str(), DefaultCorpusPath);
         continue;
       }
-      Resolved = Kind + "=" + Corpus;
+      Resolved = Kind + "=" + Opts.Corpus;
     }
     for (const auto &W : guestsw::workloads()) {
+      if (!Opts.Only.empty() && Opts.Only != W.Name)
+        continue;
       Cell C;
       // The key names the kind, never the corpus path (or cache dir), so
       // baselines stay stable across checkouts.
-      C.Key = bench::matrixKey(Kind, W.Name, Scale);
+      C.Key = bench::matrixKey(Kind, W.Name, Opts.Scale);
       C.Kind = Resolved;
       C.Workload = W.Name;
       Cells.push_back(std::move(C));
     }
   }
 
-  const std::map<std::string, vm::Snapshot> Boards = captureBoards(Scale);
+  const std::map<std::string, vm::Snapshot> Boards = captureBoards(Opts);
 
+  const size_t Workloads =
+      Opts.Only.empty() ? guestsw::workloads().size() : 1;
   std::printf("scenario matrix: %zu cells (%zu kinds x %zu workloads) at "
               "scale %u, %u job(s)%s\n\n",
-              Cells.size(),
-              Cells.size() / guestsw::workloads().size(),
-              guestsw::workloads().size(), Scale, Jobs,
-              CacheDir.empty() ? "" : " [cold pass]");
+              Cells.size(), Cells.size() / Workloads, Workloads, Opts.Scale,
+              Opts.Jobs, Opts.CacheDir.empty() ? "" : " [cold pass]");
 
   int Failures = 0;
-  const std::vector<vm::RunReport> Cold = runBatch(
-      Cells, Boards, Scale, Jobs, CacheDir, TraceDir, "", Failures);
+  const std::vector<vm::RunReport> Cold =
+      runBatch(Cells, Boards, Opts, "", Failures);
   const std::vector<bench::MatrixCell> ColdCells = toMatrixCells(Cells, Cold);
 
-  std::printf("\n%s", bench::formatPaperFigures(ColdCells, Scale).c_str());
+  for (size_t I = 0; I < Cells.size(); ++I)
+    if (!Cold[I].HotBlocks.empty())
+      printHotBlocks(Cells[I].Key, Cold[I].HotBlocks);
 
-  if (Json && !writeMatrixFile(bench::formatMatrixJson(ColdCells, Scale),
-                               "BENCH_matrix.json"))
+  // The figures read every workload's cells; a one-workload run would
+  // only print FAILED rows for the cells it never planned.
+  if (Opts.Only.empty())
+    std::printf("\n%s", bench::formatPaperFigures(ColdCells, Opts.Scale)
+                            .c_str());
+
+  if (Opts.Json &&
+      !writeMatrixFile(bench::formatMatrixJson(ColdCells, Opts.Scale),
+                       "BENCH_matrix.json"))
     ++Failures;
 
-  if (!CacheDir.empty()) {
+  if (!Opts.CacheDir.empty()) {
     // Warm pass: every cold cell has destructed — and saved its cache
     // file — so this second batch boots entirely from the directory. The
     // warm-boot contract is checked per engine cell: identical console,
     // identical final architectural state, and zero translations (every
     // block comes from the file, counted in loaded_tbs).
-    std::printf("\nwarm pass against %s:\n\n", CacheDir.c_str());
+    std::printf("\nwarm pass against %s:\n\n", Opts.CacheDir.c_str());
     const std::vector<vm::RunReport> Warm =
-        runBatch(Cells, Boards, Scale, Jobs, CacheDir, TraceDir, "-warm",
-                 Failures);
+        runBatch(Cells, Boards, Opts, "-warm", Failures);
 
     std::printf("\n%-28s %12s %12s %10s %6s\n", "cell", "cold-xlate",
                 "warm-xlate", "loaded", "hits");
@@ -322,10 +365,10 @@ int runMatrix(unsigned Jobs, uint32_t Scale, bool Json,
       }
     }
 
-    if (Json &&
-        !writeMatrixFile(bench::formatMatrixJson(toMatrixCells(Cells, Warm),
-                                                 Scale),
-                         "BENCH_matrix_warm.json"))
+    if (Opts.Json &&
+        !writeMatrixFile(
+            bench::formatMatrixJson(toMatrixCells(Cells, Warm), Opts.Scale),
+            "BENCH_matrix_warm.json"))
       ++Failures;
   }
 
@@ -335,25 +378,49 @@ int runMatrix(unsigned Jobs, uint32_t Scale, bool Json,
   }
   std::printf("\nall %zu matrix cells clean; consoles identical per "
               "workload%s\n", Cells.size(),
-              CacheDir.empty() ? "" : "; warm boots translated nothing");
+              Opts.CacheDir.empty() ? "" : "; warm boots translated nothing");
   return 0;
+}
+
+/// The value of option \p Name at argv[I], given as "Name V" (advancing
+/// \p I past V) or as "Name=V"; null when argv[I] is not that option.
+const char *optionValue(int argc, char **argv, int &I, const char *Name) {
+  const size_t Len = std::strlen(Name);
+  if (std::strncmp(argv[I], Name, Len) != 0)
+    return nullptr;
+  if (argv[I][Len] == '=')
+    return argv[I] + Len + 1;
+  if (argv[I][Len] == '\0' && I + 1 < argc)
+    return argv[++I];
+  return nullptr;
+}
+
+/// Parses a --jobs/--hot count: a decimal integer, 0 included, with the
+/// same digits-only overflow check as bench::parseScale.
+bool parseCount(const char *Text, uint32_t &Out) {
+  if (std::strcmp(Text, "0") == 0) {
+    Out = 0;
+    return true;
+  }
+  return bench::parseScale(Text, Out);
+}
+
+bool isWorkload(const char *Name) {
+  for (const auto &W : guestsw::workloads())
+    if (std::strcmp(W.Name, Name) == 0)
+      return true;
+  return false;
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  bool Json = false;
-  const char *Workload = nullptr;
+  Options Opts;
   const char *CorpusFlag = nullptr;
-  std::string CacheDir;
-  std::string TraceDir;
-  size_t Hot = 0;
-  uint32_t Scale = 1;
   bool HaveScale = false;
-  bool Matrix = false;
-  unsigned Jobs = 1;
   for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--list") == 0) {
+    const char *Arg = argv[I];
+    if (std::strcmp(Arg, "--list") == 0) {
       std::printf("workloads:\n");
       for (const auto &W : guestsw::workloads())
         std::printf("  %-12s %-10s %s\n", W.Name,
@@ -369,62 +436,52 @@ int main(int argc, char **argv) {
       }
       return 0;
     }
-    if (std::strcmp(argv[I], "--json") == 0) {
-      Json = true;
+    if (std::strcmp(Arg, "--json") == 0) {
+      Opts.Json = true;
       continue;
     }
-    if (std::strcmp(argv[I], "--jobs") == 0 && I + 1 < argc) {
-      Matrix = true;
-      const int N = std::atoi(argv[++I]);
-      Jobs = N > 0 ? static_cast<unsigned>(N)
-                   : vm::BatchRunner::hardwareJobs();
+    if (const char *V = optionValue(argc, argv, I, "--jobs")) {
+      if (!parseCount(V, Opts.Jobs)) {
+        std::fprintf(stderr, "invalid --jobs '%s' (want a worker count; "
+                             "0 = every core)\n", V);
+        return 2;
+      }
       continue;
     }
-    if (std::strncmp(argv[I], "--jobs=", 7) == 0) {
-      Matrix = true;
-      const int N = std::atoi(argv[I] + 7);
-      Jobs = N > 0 ? static_cast<unsigned>(N)
-                   : vm::BatchRunner::hardwareJobs();
+    if (const char *V = optionValue(argc, argv, I, "--hot")) {
+      if (!parseCount(V, Opts.Hot)) {
+        std::fprintf(stderr, "invalid --hot '%s' (want a block count; "
+                             "0 = off)\n", V);
+        return 2;
+      }
       continue;
     }
-    if (std::strcmp(argv[I], "--corpus") == 0 && I + 1 < argc) {
-      CorpusFlag = argv[++I];
+    if (const char *V = optionValue(argc, argv, I, "--corpus")) {
+      CorpusFlag = V;
       continue;
     }
-    if (std::strcmp(argv[I], "--cache-dir") == 0 && I + 1 < argc) {
-      CacheDir = argv[++I];
+    if (const char *V = optionValue(argc, argv, I, "--cache-dir")) {
+      Opts.CacheDir = V;
       continue;
     }
-    if (std::strncmp(argv[I], "--cache-dir=", 12) == 0) {
-      CacheDir = argv[I] + 12;
+    if (const char *V = optionValue(argc, argv, I, "--trace-dir")) {
+      Opts.TraceDir = V;
       continue;
     }
-    if (std::strcmp(argv[I], "--trace-dir") == 0 && I + 1 < argc) {
-      TraceDir = argv[++I];
-      continue;
-    }
-    if (std::strncmp(argv[I], "--trace-dir=", 12) == 0) {
-      TraceDir = argv[I] + 12;
-      continue;
-    }
-    if (std::strcmp(argv[I], "--hot") == 0 && I + 1 < argc) {
-      const int N = std::atoi(argv[++I]);
-      Hot = N > 0 ? static_cast<size_t>(N) : 0;
-      continue;
-    }
-    if (!Matrix && !Workload && argv[I][0] != '-') {
-      Workload = argv[I];
-      continue;
-    }
-    if (!HaveScale && argv[I][0] != '-') {
-      // In matrix mode the only positional is the scale; reject
-      // non-numeric values instead of turning a misplaced workload name
-      // into a degenerate "@0" baseline.
-      if (!bench::parseScale(argv[I], Scale)) {
-        std::fprintf(stderr, "invalid scale '%s'%s\n", argv[I],
-                     Matrix ? " (matrix mode runs every workload; the "
-                              "only positional argument is the scale)"
-                            : "");
+    if (Arg[0] != '-' && !HaveScale) {
+      // The workload comes first; a leading digit marks the scale, so
+      // "rdbt_scenarios 4" runs every workload at scale 4.
+      if (Opts.Only.empty() &&
+          !std::isdigit(static_cast<unsigned char>(Arg[0]))) {
+        if (!isWorkload(Arg)) {
+          std::fprintf(stderr, "unknown workload '%s' (see --list)\n", Arg);
+          return 2;
+        }
+        Opts.Only = Arg;
+        continue;
+      }
+      if (!bench::parseScale(Arg, Opts.Scale)) {
+        std::fprintf(stderr, "invalid scale '%s'\n", Arg);
         return 2;
       }
       HaveScale = true;
@@ -432,143 +489,19 @@ int main(int argc, char **argv) {
     }
     std::fprintf(stderr,
                  "unexpected argument '%s'\n"
-                 "usage: rdbt_scenarios [--json] [--corpus F] "
-                 "[--trace-dir D] [--hot N] [workload] [scale]\n"
-                 "       rdbt_scenarios --jobs N [--json] [--corpus F] "
-                 "[--cache-dir D] [--trace-dir D] [scale]\n"
-                 "       rdbt_scenarios --list\n", argv[I]);
+                 "usage: rdbt_scenarios [--jobs N] [--json] [--corpus F] "
+                 "[--cache-dir D] [--trace-dir D] [--hot N] [workload] "
+                 "[scale]\n"
+                 "       rdbt_scenarios --list\n", Arg);
     return 2;
   }
+  if (Opts.Jobs == 0)
+    Opts.Jobs = vm::BatchRunner::hardwareJobs();
 
-  const std::string Corpus = resolveCorpus(CorpusFlag);
-  if (!Corpus.empty() && !fileExists(Corpus)) {
-    std::fprintf(stderr, "corpus file '%s' not found\n", Corpus.c_str());
+  Opts.Corpus = resolveCorpus(CorpusFlag);
+  if (!Opts.Corpus.empty() && !fileExists(Opts.Corpus)) {
+    std::fprintf(stderr, "corpus file '%s' not found\n", Opts.Corpus.c_str());
     return 2;
   }
-
-  if (Matrix) {
-    if (Hot) {
-      std::fprintf(stderr,
-                   "--hot needs single-workload mode (drop --jobs N)\n");
-      return 2;
-    }
-    return runMatrix(Jobs, Scale, Json, Corpus, CacheDir, TraceDir);
-  }
-
-  if (!CacheDir.empty()) {
-    std::fprintf(stderr,
-                 "--cache-dir needs matrix mode (add --jobs N)\n");
-    return 2;
-  }
-
-  if (!Workload)
-    Workload = "libquantum";
-
-  std::printf("scenario smoke: '%s' @ scale %u under every registered "
-              "translator kind\n\n", Workload, Scale);
-  std::printf("%-28s %-14s %12s %14s %10s\n", "spec", "stop", "guest",
-              "host cycles", "host/guest");
-
-  // Same single-install scheme as the matrix: assemble and install the
-  // guest image once, fork it copy-on-write per kind.
-  vm::Vm Booter(
-      vm::VmConfig().translator("native").workload(Workload).scale(Scale));
-  const vm::Snapshot Board = Booter.valid() ? Booter.capture() : vm::Snapshot();
-
-  std::string RefConsole;
-  bool HaveRef = false;
-  int Failures = 0;
-  for (const std::string &Kind : vm::TranslatorRegistry::global().kinds()) {
-    const auto *Info = vm::TranslatorRegistry::global().find(Kind);
-    std::string SpecKind = Kind;
-    if (Info && Info->TakesParam) {
-      if (Corpus.empty())
-        continue; // unusable without an argument (e.g. rule:file=<path>)
-      SpecKind = Kind + "=" + Corpus;
-    }
-    vm::VmConfig Cfg =
-        vm::VmConfig().translator(SpecKind).workload(Workload).scale(Scale);
-    if (!Board.empty())
-      Cfg.snapshot(&Board);
-    // --trace-dir: one timeline per kind, named like a matrix cell.
-    if (!TraceDir.empty())
-      Cfg.trace(TraceDir + "/" +
-                sanitizeKey(Kind + "_" + Workload + "@" +
-                            std::to_string(Scale)) +
-                ".trace.json");
-    if (Hot)
-      Cfg.profileHotBlocks(true);
-    vm::Vm V(std::move(Cfg));
-    if (!V.valid()) {
-      std::fprintf(stderr, "%s/%s: %s\n", SpecKind.c_str(), Workload,
-                   V.error().c_str());
-      return 1;
-    }
-    const vm::RunReport R = V.run();
-    if (Json)
-      bench::JsonRecorder::get().Runs.push_back(
-          {Workload, R.Label, bench::fromReport(R, Info->UsesEngine)});
-    printRow(R);
-    if (!R.Ok) {
-      std::fprintf(stderr, "FAIL: %s stopped with '%s'%s%s\n", R.Spec.c_str(),
-                   R.stopName(), R.Error.empty() ? "" : ": ",
-                   R.Error.c_str());
-      ++Failures;
-      continue;
-    }
-    if (!HaveRef) {
-      RefConsole = R.Console;
-      HaveRef = true;
-    } else if (R.Console != RefConsole) {
-      std::fprintf(stderr, "FAIL: %s console diverged from the first "
-                           "executor\n", R.Spec.c_str());
-      ++Failures;
-    }
-    if (Hot) {
-      // Hot-block profile (src/obs/): top-N live TBs by execution
-      // count, with both disassemblies and rule-coverage attribution.
-      // The native executor has no TBs and prints nothing.
-      const std::vector<vm::Vm::HotBlock> Blocks = V.hotBlocks(Hot);
-      for (size_t BI = 0; BI < Blocks.size(); ++BI) {
-        const vm::Vm::HotBlock &B = Blocks[BI];
-        std::printf("\n  #%zu tb %d @ 0x%08x: %llu entries, %.2f%% of "
-                    "retired guest instrs\n"
-                    "     %u guest instr(s): %u rule-covered, %u via the "
-                    "emulate helper\n",
-                    BI + 1, B.TbId, B.GuestPc,
-                    static_cast<unsigned long long>(B.Execs),
-                    B.ExecShare * 100.0, B.NumGuestInstrs, B.CoveredInstrs,
-                    B.EmulatedInstrs);
-        std::printf("    guest:\n%s    host:\n", B.GuestDisasm.c_str());
-        // Indent the host disassembly to match.
-        std::string Line;
-        for (char C : B.HostDisasm) {
-          Line += C;
-          if (C == '\n') {
-            std::printf("      %s", Line.c_str());
-            Line.clear();
-          }
-        }
-        if (!Line.empty())
-          std::printf("      %s\n", Line.c_str());
-      }
-      if (!Blocks.empty())
-        std::printf("\n");
-    }
-  }
-
-  if (Json) {
-    // The recorder only writes when RDBT_BENCH_JSON is set; an explicit
-    // --json defaults the output directory to the current one.
-    if (!std::getenv("RDBT_BENCH_JSON"))
-      setenv("RDBT_BENCH_JSON", "1", /*overwrite=*/0);
-    bench::writeBenchJson("scenarios", Scale);
-  }
-
-  if (Failures) {
-    std::fprintf(stderr, "\n%d scenario(s) failed\n", Failures);
-    return 1;
-  }
-  std::printf("\nall scenarios clean; consoles identical\n");
-  return 0;
+  return runMatrix(Opts);
 }
