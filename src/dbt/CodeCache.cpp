@@ -6,7 +6,10 @@
 
 #include "dbt/CodeCache.h"
 
+#include "dbt/Helpers.h"
 #include "obs/Trace.h"
+#include "support/Format.h"
+#include "sys/Env.h"
 
 #include <algorithm>
 #include <cassert>
@@ -78,6 +81,7 @@ void CodeCache::invalidateOne(int TbId) {
 
   Index.erase(E->Key);
   E->Block.reset();
+  E->Lowered.reset();
   --LiveBlocks;
   ++Stats.TbsInvalidated;
 }
@@ -163,6 +167,25 @@ bool CodeCache::chain(int FromTb, int Slot, int ToTb, bool ElideFlagSave) {
 const host::HostBlock *CodeCache::block(int TbId) const {
   const Entry *E = entry(TbId);
   return E ? E->Block.get() : nullptr;
+}
+
+host::TbView CodeCache::enter(int TbId) {
+  Entry *E = entry(TbId);
+  if (!E || !E->Block)
+    return {};
+  if (!E->Lowered && ++E->EntryCount >= 2) {
+    std::string Why;
+    E->Lowered = host::lowerBlock(*E->Block, sys::envWordCount(), NumHelpers,
+                                  Why);
+    if (!E->Lowered) {
+      LowerError_ = format("host block at guest pc 0x%08x failed "
+                           "verification: ",
+                           E->Block->GuestPc) +
+                    Why;
+      return {};
+    }
+  }
+  return {E->Block.get(), &E->Links, E->Lowered.get()};
 }
 
 std::shared_ptr<const CodeCache::Image> CodeCache::capture() const {

@@ -33,7 +33,9 @@
 ///
 /// Translated code is never rewritten: chain() and invalidation only flip
 /// fields of the link table, so a block is shared as-is by a snapshot
-/// image, every fork of it, the persistent-cache save set and store.
+/// image, every fork of it, the persistent-cache save set and store. A
+/// block's lowered form (host/HostLowering.h) is built once, on the
+/// block's second entry, beside its links, and shared the same way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +46,7 @@
 #include "obs/TraceSink.h"
 
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -99,6 +102,11 @@ struct CacheStats {
 struct CacheEntry {
   std::shared_ptr<const host::HostBlock> Block;
   host::ChainLinks Links; ///< chain targets and elided flag-saves
+  /// Entries into the block so far, counted until it is lowered.
+  uint32_t EntryCount = 0;
+  /// The block's lowered form, built on its second entry (DESIGN.md §15).
+  /// Immutable, so a capture and every fork of it share it.
+  std::shared_ptr<const host::LoweredBlock> Lowered;
   uint64_t Key = 0;
   uint32_t Asid = 0;
   /// Reverse chain edges: (fromTbId, slot) pairs that chained a direct
@@ -167,10 +175,26 @@ public:
   /// block.
   bool chain(int FromTb, int Slot, int ToTb, bool ElideFlagSave);
 
-  const host::HostBlock *block(int TbId) const override;
-  const host::ChainLinks &links(int TbId) const override {
+  /// The live block \p TbId, or null.
+  const host::HostBlock *block(int TbId) const;
+  /// Link state of the live block \p TbId; valid until the cache next
+  /// inserts, links or drops a block.
+  const host::ChainLinks &links(int TbId) const {
     return entry(TbId)->Links;
   }
+  /// The lowered form of the live block \p TbId, or null.
+  const host::LoweredBlock *lowered(int TbId) const {
+    const Entry *E = entry(TbId);
+    return E ? E->Lowered.get() : nullptr;
+  }
+
+  /// host::CodeSource: counts the entry and lowers the block on its
+  /// second one. A block that fails host::verifyBlock then is never
+  /// lowered or run: the view comes back empty and lowerError() says why.
+  host::TbView enter(int TbId) override;
+
+  /// Why the last block to fail verification on lowering failed, or "".
+  const std::string &lowerError() const { return LowerError_; }
 
   /// Freezes the cache into an immutable Image. Blocks are shared and
   /// only the link table is copied, so a capture is O(metadata) and stays
@@ -216,6 +240,7 @@ private:
   void invalidateOne(int TbId);
 
   obs::TraceSink *Sink_ = nullptr; ///< owned by vm::Vm; null when untraced
+  std::string LowerError_;
 };
 
 } // namespace dbt

@@ -160,26 +160,15 @@ void writeInst(Writer &W, const host::HInst &H) {
   W.u32(H.GuestPc);
 }
 
-bool readInst(Reader &R, uint32_t NumCode, host::HInst &H,
-              std::string &Why) {
+/// Decodes one instruction record. Only what decoding itself needs is
+/// checked here; host::verifyBlock checks the decoded block.
+bool readInst(Reader &R, host::HInst &H, std::string &Why) {
   uint8_t Op, Cc, Cls, Flags;
   if (!R.u8(Op) || !R.u8(Cc) || !R.u8(Cls) || !R.u8(Flags) || !R.u8(H.Size) ||
       !R.u8(H.Dst) || !R.u8(H.Src) || !R.u8(H.Src2) || !R.u16(H.Slot) ||
       !R.u16(H.Helper) || !R.i32(H.Imm) || !R.i32(H.Target) ||
       !R.u32(H.GuestPc)) {
     Why = "truncated instruction record";
-    return false;
-  }
-  if (Op > static_cast<uint8_t>(host::HOp::ExitTb)) {
-    Why = "opcode out of range";
-    return false;
-  }
-  if (Cc > static_cast<uint8_t>(host::HCond::Al)) {
-    Why = "condition out of range";
-    return false;
-  }
-  if (Cls >= host::NumCostClasses) {
-    Why = "cost class out of range";
     return false;
   }
   if (Flags >= 8) {
@@ -192,68 +181,6 @@ bool readInst(Reader &R, uint32_t NumCode, host::HInst &H,
   H.SetFlags = (Flags & 1) != 0;
   H.UseImm = (Flags & 2) != 0;
   H.AccIsWrite = (Flags & 4) != 0;
-  if (H.Dst >= host::NumHostRegs || H.Src >= host::NumHostRegs ||
-      H.Src2 >= host::NumHostRegs) {
-    Why = "register out of range";
-    return false;
-  }
-  if (H.Size != 1 && H.Size != 2 && H.Size != 4) {
-    Why = "access size out of range";
-    return false;
-  }
-  if ((H.Op == host::HOp::LdEnv || H.Op == host::HOp::StEnv ||
-       H.Op == host::HOp::StEnvI) &&
-      H.Slot >= sys::envWordCount()) {
-    Why = "env slot out of range";
-    return false;
-  }
-  if (H.Op == host::HOp::CallHelper && H.Helper >= NumHelpers) {
-    Why = "helper id out of range";
-    return false;
-  }
-  // The chain slot of a ChainSlot rides in Imm, that of a NeedTranslate
-  // exit in Src; the engine hands the latter to CodeCache::chain().
-  const bool NeedTranslate =
-      H.Op == host::HOp::ExitTb &&
-      H.Imm == static_cast<int32_t>(host::ExitReason::NeedTranslate);
-  if ((H.Op == host::HOp::ChainSlot && (H.Imm < 0 || H.Imm > 1)) ||
-      (NeedTranslate && H.Src > 1)) {
-    Why = "chain slot index out of range";
-    return false;
-  }
-  const bool IsJump = H.Op == host::HOp::Jcc || H.Op == host::HOp::Jmp;
-  const int32_t MinTarget = IsJump ? 0 : -1;
-  if (H.Target < MinTarget || H.Target >= static_cast<int32_t>(NumCode)) {
-    Why = "jump target out of range";
-    return false;
-  }
-  return true;
-}
-
-/// The structure the host machine relies on instead of asserting: control
-/// never runs off the end of the code, and every flag-save range is one
-/// the chain-time elision can skip whole — it starts at a SyncOp marker
-/// and ends right before its own exit's ChainSlot.
-bool checkBlock(const host::HostBlock &B, std::string &Why) {
-  const host::HOp Last = B.Code.back().Op;
-  if (Last != host::HOp::ExitTb && Last != host::HOp::Jmp) {
-    Why = "block can fall off its end";
-    return false;
-  }
-  const int N = static_cast<int>(B.Code.size());
-  for (int S = 0; S < 2; ++S) {
-    const int Begin = B.Chains[S].FlagSaveBegin;
-    const int End = B.Chains[S].FlagSaveEnd;
-    if (Begin == -1 && End == -1)
-      continue;
-    if (Begin < 0 || Begin >= End || End >= N ||
-        B.Code[Begin].Op != host::HOp::Marker ||
-        B.Code[Begin].Imm != static_cast<int32_t>(host::MarkerKind::SyncOp) ||
-        B.Code[End].Op != host::HOp::ChainSlot || B.Code[End].Imm != S) {
-      Why = "flag-save range out of range";
-      return false;
-    }
-  }
   return true;
 }
 
@@ -436,9 +363,9 @@ CacheLoad CodeCacheIo::load(const std::string &Path, const CacheKey &Key,
     B->Code.resize(NumCode);
     std::string Why;
     for (host::HInst &H : B->Code)
-      if (!readInst(R, NumCode, H, Why))
+      if (!readInst(R, H, Why))
         return Bad(Why);
-    if (!checkBlock(*B, Why))
+    if (!host::verifyBlock(*B, sys::envWordCount(), NumHelpers, Why))
       return Bad(Why);
 
     if (Cache.find(GuestPc, MmuIdx, Asid) >= 0)

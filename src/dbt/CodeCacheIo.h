@@ -23,9 +23,8 @@
 ///    table (chain targets, elided flag-saves, reverse edges) and stats
 ///    are per-cache state and never stored, so the on-disk form is
 ///    position-independent by construction. Loading validates strictly —
-///    magic, version, key echo, payload checksum, per-field bounds on
-///    every instruction, and the block structure the host machine relies
-///    on — and any mismatch is a clean cache-miss, never UB.
+///    magic, version, key echo, payload checksum, and host::verifyBlock on
+///    every block — and any mismatch is a clean cache-miss, never UB.
 ///
 ///  * **TranslationStore** — the read-only lookup the engine consults on
 ///    a translation miss. Deliberately lazy (not an eager `adopt()`):

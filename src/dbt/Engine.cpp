@@ -25,6 +25,7 @@ const char *dbt::toString(StopReason R) {
   case StopReason::WallLimit: return "wall limit";
   case StopReason::Deadlock: return "deadlock";
   case StopReason::Runaway: return "runaway";
+  case StopReason::InvalidCode: return "invalid host code";
   }
   return "?";
 }
@@ -243,6 +244,8 @@ StopReason DbtEngine::run(uint64_t MaxWallCycles) {
     case ExitReason::Shutdown:
       return Board.ShutdownRequested ? StopReason::GuestShutdown
                                      : StopReason::Runaway;
+    case ExitReason::InvalidBlock:
+      return StopReason::InvalidCode;
     }
   }
 }

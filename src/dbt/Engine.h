@@ -44,6 +44,9 @@ enum class StopReason : uint8_t {
   WallLimit,     ///< the wall-cycle budget was exhausted
   Deadlock,      ///< WFI with no pending event and no future deadline
   Runaway,       ///< per-run host instruction guard tripped
+  /// A block failed host::verifyBlock when it was lowered; see
+  /// CodeCache::lowerError().
+  InvalidCode,
 };
 
 /// Human-readable stop-reason label ("guest shutdown", "wall limit", ...).

@@ -122,6 +122,19 @@ enum class HOp : uint8_t {
   ExitTb,     ///< leave the code cache; ExitReason in Imm
 };
 
+/// Host cost of one executed \p Op: what the machine charges before any
+/// helper-reported cost. Markers are free, the flag shuffles take two x86
+/// instructions, a helper call three (call + ret + argument setup).
+constexpr uint32_t opCost(HOp Op) {
+  switch (Op) {
+  case HOp::Marker: return 0;
+  case HOp::PackF:
+  case HOp::UnpackF: return 2;
+  case HOp::CallHelper: return 3;
+  default: return 1;
+  }
+}
+
 /// Instruction cost/attribution classes (Fig. 15 / Fig. 17 accounting).
 enum class CostClass : uint8_t {
   User = 0,  ///< translated guest computation
@@ -147,6 +160,10 @@ enum class ExitReason : uint8_t {
   Exception,     ///< a helper delivered a guest exception
   Halt,          ///< WFI
   Shutdown,      ///< guest requested stop (test bench hook)
+  /// Raised by the host machine, never by code: the next block failed
+  /// host::verifyBlock, so none of it ran. verifyBlock rejects an ExitTb
+  /// that asks for this reason (or any later one).
+  InvalidBlock,
 };
 
 /// One structured host instruction. Field use depends on Op.
@@ -232,8 +249,28 @@ constexpr HCond hcondFromArm(uint8_t ArmCond) {
   return static_cast<HCond>(ArmCond);
 }
 
-/// Evaluates \p Cc against NZCV flag values.
-bool hcondHolds(HCond Cc, bool N, bool Z, bool C, bool V);
+/// Evaluates \p Cc against NZCV flag values. Inline: both host-machine
+/// executors test it on every conditional jump and setcc.
+inline bool hcondHolds(HCond Cc, bool N, bool Z, bool C, bool V) {
+  switch (Cc) {
+  case HCond::Eq: return Z;
+  case HCond::Ne: return !Z;
+  case HCond::Cs: return C;
+  case HCond::Cc: return !C;
+  case HCond::Mi: return N;
+  case HCond::Pl: return !N;
+  case HCond::Vs: return V;
+  case HCond::Vc: return !V;
+  case HCond::Hi: return C && !Z;
+  case HCond::Ls: return !C || Z;
+  case HCond::Ge: return N == V;
+  case HCond::Lt: return N != V;
+  case HCond::Gt: return !Z && N == V;
+  case HCond::Le: return Z || N != V;
+  case HCond::Al: return true;
+  }
+  return true;
+}
 
 } // namespace host
 } // namespace rdbt

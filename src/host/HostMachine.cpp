@@ -88,27 +88,6 @@ const char *host::hcondName(HCond Cc) {
   return "?";
 }
 
-bool host::hcondHolds(HCond Cc, bool N, bool Z, bool C, bool V) {
-  switch (Cc) {
-  case HCond::Eq: return Z;
-  case HCond::Ne: return !Z;
-  case HCond::Cs: return C;
-  case HCond::Cc: return !C;
-  case HCond::Mi: return N;
-  case HCond::Pl: return !N;
-  case HCond::Vs: return V;
-  case HCond::Vc: return !V;
-  case HCond::Hi: return C && !Z;
-  case HCond::Ls: return !C || Z;
-  case HCond::Ge: return N == V;
-  case HCond::Lt: return N != V;
-  case HCond::Gt: return !Z && N == V;
-  case HCond::Le: return Z || N != V;
-  case HCond::Al: return true;
-  }
-  return true;
-}
-
 HostMachine::HostMachine(uint32_t *EnvWords, uint32_t Size, PhysPort &M,
                          HelperHandler &H, WallSink &W, uint16_t MmuSlot,
                          uint32_t TlbBase, uint32_t EntryWords,
@@ -149,44 +128,516 @@ uint32_t HostMachine::tlbWord(uint32_t Index, uint32_t FieldWord) const {
   return Env[Slot];
 }
 
-RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
-  const HostBlock *B = Src.block(StartTb);
+void HostMachine::ldEnv(uint8_t Dst, uint32_t Slot) {
+  assert(Slot < EnvSize);
+  R_[Dst] = Env[Slot];
+}
+
+void HostMachine::stEnv(uint32_t Slot, uint32_t V) {
+  assert(Slot < EnvSize);
+  Env[Slot] = V;
+}
+
+void HostMachine::addSub(HOp Op, bool SetFlags, uint8_t Dst,
+                         uint32_t Operand) {
+  const uint32_t A = R_[Dst];
+  uint32_t Lhs = A, Rhs = Operand, CarryIn = 0;
+  switch (Op) {
+  case HOp::Adc:
+    CarryIn = FC;
+    break;
+  case HOp::Sub:
+  case HOp::Cmp:
+    Rhs = ~Operand;
+    CarryIn = 1;
+    break;
+  case HOp::Sbc:
+    Rhs = ~Operand;
+    CarryIn = FC;
+    break;
+  case HOp::Rsb:
+    Lhs = Operand;
+    Rhs = ~A;
+    CarryIn = 1;
+    break;
+  default: // Add, Cmn
+    break;
+  }
+  const uint64_t Wide =
+      static_cast<uint64_t>(Lhs) + static_cast<uint64_t>(Rhs) + CarryIn;
+  const uint32_t Result = static_cast<uint32_t>(Wide);
+  if (SetFlags || Op == HOp::Cmp || Op == HOp::Cmn) {
+    FN = Result >> 31;
+    FZ = Result == 0;
+    FC = Wide != Result;
+    const int64_t SWide = static_cast<int64_t>(static_cast<int32_t>(Lhs)) +
+                          static_cast<int64_t>(static_cast<int32_t>(Rhs)) +
+                          CarryIn;
+    FV = SWide != static_cast<int32_t>(Result);
+  }
+  if (Op != HOp::Cmp && Op != HOp::Cmn)
+    R_[Dst] = Result;
+}
+
+void HostMachine::logic(HOp Op, bool SetFlags, uint8_t Dst,
+                        uint32_t Operand) {
+  const uint32_t A = R_[Dst];
+  uint32_t Result = 0;
+  switch (Op) {
+  case HOp::Or:
+    Result = A | Operand;
+    break;
+  case HOp::Xor:
+    Result = A ^ Operand;
+    break;
+  case HOp::Bic:
+    Result = A & ~Operand;
+    break;
+  default: // And, Test
+    Result = A & Operand;
+    break;
+  }
+  if (SetFlags || Op == HOp::Test) {
+    FN = Result >> 31;
+    FZ = Result == 0;
+  }
+  if (Op != HOp::Test)
+    R_[Dst] = Result;
+}
+
+void HostMachine::shift(HOp Op, bool SetFlags, uint8_t Dst,
+                        uint32_t Operand) {
+  const uint32_t A = R_[Dst];
+  const uint32_t Amount = Operand & 0xFF;
+  uint32_t Result = A;
+  bool CarryOut = FC;
+  if (Amount != 0) {
+    const unsigned Amt = Amount > 32 ? 32 : Amount;
+    switch (Op) {
+    case HOp::Shl:
+      Result = Amount >= 32 ? 0 : A << Amount;
+      CarryOut = Amount > 32 ? 0 : (A >> (32 - Amt)) & 1;
+      break;
+    case HOp::Shr:
+      Result = Amount >= 32 ? 0 : A >> Amount;
+      CarryOut = Amount > 32 ? 0 : (A >> (Amt - 1)) & 1;
+      break;
+    case HOp::Sar: {
+      const unsigned Eff = Amount >= 32 ? 31 : Amount;
+      Result = static_cast<uint32_t>(static_cast<int32_t>(A) >>
+                                     static_cast<int32_t>(Eff));
+      if (Amount >= 32)
+        Result = A >> 31 ? 0xFFFFFFFFu : 0;
+      CarryOut = Amount >= 32 ? (A >> 31) & 1 : (A >> (Amount - 1)) & 1;
+      break;
+    }
+    default: // Ror
+      Result = rotr32(A, Amount);
+      CarryOut = (Result >> 31) & 1;
+      break;
+    }
+    if (SetFlags) {
+      FN = Result >> 31;
+      FZ = Result == 0;
+      FC = CarryOut;
+    }
+  }
+  R_[Dst] = Result;
+}
+
+void HostMachine::tlbCmp(uint8_t IdxReg, uint8_t VpnReg, bool IsWrite) {
+  const uint32_t Tag = tlbWord(R_[IdxReg], IsWrite ? 1 : 0);
+  const uint32_t Vpn = R_[VpnReg];
+  const uint32_t Result = Tag - Vpn;
+  FN = Result >> 31;
+  FZ = Result == 0;
+  FC = Tag >= Vpn;
+  FV = (((Tag ^ Vpn) & (Tag ^ Result)) >> 31) & 1;
+}
+
+void HostMachine::gLoad(uint8_t Dst, uint8_t AddrReg, unsigned Size) {
+  uint32_t Value = 0;
+  [[maybe_unused]] const bool Ok = Mem.read(R_[AddrReg], Size, Value);
+  assert(Ok && "GLoad after TLB hit must target RAM");
+  R_[Dst] = Value;
+}
+
+void HostMachine::gStore(uint8_t DataReg, uint8_t AddrReg, unsigned Size) {
+  [[maybe_unused]] const bool Ok = Mem.write(R_[AddrReg], Size, R_[DataReg]);
+  assert(Ok && "GStore after TLB hit must target RAM");
+}
+
+HelperHandler::Outcome HostMachine::callHelper(const HInst &H) {
+  ++Counters.HelperCalls;
+  const HelperHandler::Outcome Out =
+      Helpers.call(H.Helper, R_[H.Src], R_[H.Src2], H.GuestPc);
+  charge(H, Out.Cost);
+  if (Out.HasResult)
+    R_[H.Dst] = Out.Result;
+  return Out;
+}
+
+void HostMachine::exec(const HInst &H) {
+  switch (H.Op) {
+  case HOp::Nop:
+    break;
+  case HOp::Mov:
+    R_[H.Dst] = aluOperand(H);
+    break;
+  case HOp::LdEnv:
+    ldEnv(H.Dst, H.Slot);
+    break;
+  case HOp::StEnv:
+    stEnv(H.Slot, R_[H.Src]);
+    break;
+  case HOp::StEnvI:
+    stEnv(H.Slot, static_cast<uint32_t>(H.Imm));
+    break;
+  case HOp::Add:
+  case HOp::Adc:
+  case HOp::Sub:
+  case HOp::Sbc:
+  case HOp::Rsb:
+  case HOp::Cmp:
+  case HOp::Cmn:
+    addSub(H.Op, H.SetFlags, H.Dst, aluOperand(H));
+    break;
+  case HOp::And:
+  case HOp::Or:
+  case HOp::Xor:
+  case HOp::Bic:
+  case HOp::Test:
+    logic(H.Op, H.SetFlags, H.Dst, aluOperand(H));
+    break;
+  case HOp::Shl:
+  case HOp::Shr:
+  case HOp::Sar:
+  case HOp::Ror:
+    shift(H.Op, H.SetFlags, H.Dst, aluOperand(H));
+    break;
+  case HOp::Neg:
+    R_[H.Dst] = 0u - R_[H.Dst];
+    if (H.SetFlags) {
+      FN = R_[H.Dst] >> 31;
+      FZ = R_[H.Dst] == 0;
+    }
+    break;
+  case HOp::Not:
+    R_[H.Dst] = ~R_[H.Dst];
+    break;
+  case HOp::Mul: {
+    const uint32_t Result = R_[H.Dst] * aluOperand(H);
+    R_[H.Dst] = Result;
+    if (H.SetFlags) {
+      FN = Result >> 31;
+      FZ = Result == 0;
+    }
+    break;
+  }
+  case HOp::MulLU:
+  case HOp::MulLS: {
+    uint64_t Wide;
+    if (H.Op == HOp::MulLU)
+      Wide = static_cast<uint64_t>(R_[H.Dst]) *
+             static_cast<uint64_t>(R_[H.Src]);
+    else
+      Wide = static_cast<uint64_t>(
+          static_cast<int64_t>(static_cast<int32_t>(R_[H.Dst])) *
+          static_cast<int64_t>(static_cast<int32_t>(R_[H.Src])));
+    R_[H.Dst] = static_cast<uint32_t>(Wide);
+    R_[H.Src2] = static_cast<uint32_t>(Wide >> 32);
+    if (H.SetFlags) {
+      FN = (Wide >> 63) & 1;
+      FZ = Wide == 0;
+    }
+    break;
+  }
+  case HOp::Clz:
+    R_[H.Dst] = countLeadingZeros32(R_[H.Src]);
+    break;
+  case HOp::SetCc:
+    R_[H.Dst] = hcondHolds(H.Cc, FN, FZ, FC, FV) ? 1u : 0u;
+    break;
+  case HOp::PackF:
+    R_[H.Dst] = packedFlags();
+    break;
+  case HOp::UnpackF:
+    setPackedFlags(R_[H.Dst]);
+    break;
+  case HOp::TlbCmp:
+    tlbCmp(H.Src, H.Src2, H.AccIsWrite);
+    break;
+  case HOp::TlbPhys:
+    R_[H.Dst] = tlbWord(R_[H.Src], 2);
+    break;
+  case HOp::GLoad:
+    gLoad(H.Dst, H.Src, H.Size);
+    break;
+  case HOp::GStore:
+    gStore(H.Dst, H.Src, H.Size);
+    break;
+  case HOp::Marker:
+  case HOp::Jcc:
+  case HOp::Jmp:
+  case HOp::CallHelper:
+  case HOp::ChainSlot:
+  case HOp::ExitTb:
+    assert(false && "markers and control ops never reach exec()");
+    break;
+  }
+}
+
+bool HostMachine::enterBlock(CodeSource &Src, int Tb, TbView &T) {
+  T = Src.enter(Tb);
+  if (!T.Block)
+    return false;
+  const HostBlock &B = *T.Block;
+  ++Counters.TbEntries;
+  Counters.GuestInstrs += B.NumGuestInstrs;
+  Counters.GuestMemInstrs += B.NumMemInstrs;
+  Counters.GuestSysInstrs += B.NumSysInstrs;
+  Counters.IrqChecks += B.NumIrqChecks;
+  if (TbExecs) {
+    if (static_cast<size_t>(Tb) >= TbExecs->size())
+      TbExecs->resize(Tb + 1, 0);
+    ++(*TbExecs)[Tb];
+  }
+  return true;
+}
+
+// Op dispatch in runLowered(): with GNU C++ every handler jumps straight
+// to the next op's handler through a label table (computed goto);
+// elsewhere a switch in a loop does the same job.
+#if defined(__GNUC__)
+#define RDBT_OP(K) Op_##K
+#define RDBT_DISPATCH() goto *Handlers[static_cast<unsigned>(Op->K)]
+#else
+#define RDBT_OP(K) case LKind::K
+#define RDBT_DISPATCH() goto Dispatch
+#endif
+#define RDBT_NEXT()                                                            \
+  do {                                                                         \
+    ++Op;                                                                      \
+    RDBT_DISPATCH();                                                           \
+  } while (false)
+
+bool HostMachine::runLowered(CodeSource &Src, TbView &T, int &CurTb,
+                             size_t &I, uint64_t &Executed, RunResult &Res) {
+#if defined(__GNUC__)
+  static const void *const Handlers[] = {
+#define RDBT_OP_LABEL(K) &&Op_##K,
+      RDBT_LOWERED_KINDS(RDBT_OP_LABEL)
+#undef RDBT_OP_LABEL
+  };
+#endif
+  const LoweredBlock *Low = T.Lowered;
+  int32_t Seg = Low->SegmentAt[I];
+  const LOp *Op;
+
+Segment: {
+  const LoweredBlock::Segment &S = Low->Segments[Seg];
+  // Charging the segment whole is exact only if the op-by-op path would
+  // neither call onWall nor trip the runaway guard anywhere inside it.
+  if (Counters.Wall + S.Cost >= NextDeadline ||
+      Executed + S.Len > MaxInstrsPerRun) {
+    I = S.Begin;
+    return false;
+  }
+  if (S.ElideCheck) {
+    const int End = T.Links->elidedRangeEnd(*T.Block, S.Begin);
+    if (End >= 0) {
+      Seg = Low->SegmentAt[End];
+      goto Segment;
+    }
+  }
+  Counters.Wall += S.Cost;
+  for (unsigned C = 0; C < NumCostClasses; ++C)
+    Counters.ByClass[C] += S.ByClass[C];
+  Counters.SyncOps += S.SyncOps;
+  Executed += S.Len;
+  Op = &Low->Ops[S.FirstOp];
+}
+
+  RDBT_DISPATCH();
+#if !defined(__GNUC__)
+Dispatch:
+  switch (Op->K) {
+#endif
+
+RDBT_OP(Generic):
+  exec(T.Block->Code[Op->Imm]);
+  RDBT_NEXT();
+RDBT_OP(MovR):
+  R_[Op->Dst] = R_[Op->Src];
+  RDBT_NEXT();
+RDBT_OP(MovI):
+  R_[Op->Dst] = Op->Imm;
+  RDBT_NEXT();
+RDBT_OP(LdEnv):
+  ldEnv(Op->Dst, Op->Slot);
+  RDBT_NEXT();
+RDBT_OP(StEnv):
+  stEnv(Op->Slot, R_[Op->Src]);
+  RDBT_NEXT();
+RDBT_OP(StEnvI):
+  stEnv(Op->Slot, Op->Imm);
+  RDBT_NEXT();
+RDBT_OP(AddR):
+  addSub(HOp::Add, false, Op->Dst, R_[Op->Src]);
+  RDBT_NEXT();
+RDBT_OP(AddI):
+  addSub(HOp::Add, false, Op->Dst, Op->Imm);
+  RDBT_NEXT();
+RDBT_OP(SubI):
+  addSub(HOp::Sub, false, Op->Dst, Op->Imm);
+  RDBT_NEXT();
+RDBT_OP(SubIF):
+  addSub(HOp::Sub, true, Op->Dst, Op->Imm);
+  RDBT_NEXT();
+RDBT_OP(CmpR):
+  addSub(HOp::Cmp, true, Op->Dst, R_[Op->Src]);
+  RDBT_NEXT();
+RDBT_OP(CmpI):
+  addSub(HOp::Cmp, true, Op->Dst, Op->Imm);
+  RDBT_NEXT();
+RDBT_OP(AndR):
+  logic(HOp::And, false, Op->Dst, R_[Op->Src]);
+  RDBT_NEXT();
+RDBT_OP(AndI):
+  logic(HOp::And, false, Op->Dst, Op->Imm);
+  RDBT_NEXT();
+RDBT_OP(OrR):
+  logic(HOp::Or, false, Op->Dst, R_[Op->Src]);
+  RDBT_NEXT();
+RDBT_OP(XorR):
+  logic(HOp::Xor, false, Op->Dst, R_[Op->Src]);
+  RDBT_NEXT();
+RDBT_OP(BicR):
+  logic(HOp::Bic, false, Op->Dst, R_[Op->Src]);
+  RDBT_NEXT();
+RDBT_OP(Not):
+  R_[Op->Dst] = ~R_[Op->Dst];
+  RDBT_NEXT();
+RDBT_OP(ShlI):
+  shift(HOp::Shl, false, Op->Dst, Op->Imm);
+  RDBT_NEXT();
+RDBT_OP(ShrI):
+  shift(HOp::Shr, false, Op->Dst, Op->Imm);
+  RDBT_NEXT();
+RDBT_OP(TestR):
+  logic(HOp::Test, false, Op->Dst, R_[Op->Src]);
+  RDBT_NEXT();
+RDBT_OP(TestI):
+  logic(HOp::Test, false, Op->Dst, Op->Imm);
+  RDBT_NEXT();
+RDBT_OP(SetCc):
+  R_[Op->Dst] =
+      hcondHolds(static_cast<HCond>(Op->Aux), FN, FZ, FC, FV) ? 1u : 0u;
+  RDBT_NEXT();
+RDBT_OP(PackF):
+  R_[Op->Dst] = packedFlags();
+  RDBT_NEXT();
+RDBT_OP(UnpackF):
+  setPackedFlags(R_[Op->Dst]);
+  RDBT_NEXT();
+RDBT_OP(TlbCmpR):
+  tlbCmp(Op->Src, Op->Aux, false);
+  RDBT_NEXT();
+RDBT_OP(TlbCmpW):
+  tlbCmp(Op->Src, Op->Aux, true);
+  RDBT_NEXT();
+RDBT_OP(TlbPhys):
+  R_[Op->Dst] = tlbWord(R_[Op->Src], 2);
+  RDBT_NEXT();
+RDBT_OP(GLoad):
+  gLoad(Op->Dst, Op->Src, Op->Aux);
+  RDBT_NEXT();
+RDBT_OP(GStore):
+  gStore(Op->Dst, Op->Src, Op->Aux);
+  RDBT_NEXT();
+
+RDBT_OP(Fall):
+  ++Seg;
+  goto Segment;
+RDBT_OP(Jcc):
+  Seg = hcondHolds(static_cast<HCond>(Op->Aux), FN, FZ, FC, FV)
+            ? static_cast<int32_t>(Op->Imm)
+            : Seg + 1;
+  goto Segment;
+RDBT_OP(Jmp):
+  Seg = static_cast<int32_t>(Op->Imm);
+  goto Segment;
+RDBT_OP(Call): {
+  const HelperHandler::Outcome Out = callHelper(T.Block->Code[Op->Imm]);
+  if (Out.Exit) {
+    Res = {Out.Reason, 0, CurTb, 0};
+    return true;
+  }
+  ++Seg;
+  goto Segment;
+}
+RDBT_OP(Exit):
+  Res = {static_cast<ExitReason>(Op->Aux), 0, CurTb, Op->Src};
+  return true;
+RDBT_OP(Chain): {
+  const int Next = T.Links->Target[Op->Aux];
+  if (Next < 0) {
+    ++Seg; // unresolved: fall into the exit epilogue
+    goto Segment;
+  }
+  if (!enterBlock(Src, Next, T)) {
+    Res = {ExitReason::InvalidBlock, 0, Next, 0};
+    return true;
+  }
+  CurTb = Next;
+  ++Counters.ChainFollows;
+  if (!T.Lowered) {
+    I = 0;
+    return false;
+  }
+  Low = T.Lowered;
+  Seg = 0;
+  goto Segment;
+}
+#if !defined(__GNUC__)
+  }
+  return false; // unreachable: every op kind has a handler
+#endif
+}
+
+#undef RDBT_NEXT
+#undef RDBT_DISPATCH
+#undef RDBT_OP
+
+RunResult HostMachine::run(CodeSource &Src, int StartTb) {
+  TbView T;
   int CurTb = StartTb;
-  assert(B && "starting TB not in code cache");
-  const ChainLinks *L = &Src.links(StartTb);
+  if (!enterBlock(Src, StartTb, T))
+    return {ExitReason::InvalidBlock, 0, StartTb, 0};
   size_t I = 0;
   uint64_t Executed = 0;
+  RunResult Res;
 
-  auto EnterBlock = [this](const HostBlock *Blk, int Tb) {
-    ++Counters.TbEntries;
-    Counters.GuestInstrs += Blk->NumGuestInstrs;
-    Counters.GuestMemInstrs += Blk->NumMemInstrs;
-    Counters.GuestSysInstrs += Blk->NumSysInstrs;
-    Counters.IrqChecks += Blk->NumIrqChecks;
-    if (TbExecs) {
-      if (static_cast<size_t>(Tb) >= TbExecs->size())
-        TbExecs->resize(Tb + 1, 0);
-      ++(*TbExecs)[Tb];
-    }
-  };
-  EnterBlock(B, StartTb);
-
+  // The op-by-op path: the exact reference every lowered segment matches.
+  // At each segment start of a lowered block it hands over to
+  // runLowered(), which hands back only the segments that do not fit.
   while (true) {
-    assert(I < B->Code.size() && "fell off the end of a host block");
-    const HInst &H = B->Code[I];
+    if (T.Lowered && T.Lowered->SegmentAt[I] >= 0 &&
+        runLowered(Src, T, CurTb, I, Executed, Res))
+      return Res;
+
+    assert(I < T.Block->Code.size() && "fell off the end of a host block");
+    const HInst &H = T.Block->Code[I];
     if (++Executed > MaxInstrsPerRun)
       return {ExitReason::Shutdown, 0, CurTb, 0};
 
     switch (H.Op) {
-    case HOp::Nop:
-      charge(H, 1);
-      break;
     case HOp::Marker:
       if (static_cast<MarkerKind>(H.Imm) == MarkerKind::SyncOp) {
         // The head of an elided flag-save range: skip straight to its
         // ChainSlot. Nothing in the range, this marker included, costs
         // or counts toward MaxInstrsPerRun.
-        const int End = L->elidedRangeEnd(*B, I);
+        const int End = T.Links->elidedRangeEnd(*T.Block, I);
         if (End >= 0) {
           --Executed;
           I = static_cast<size_t>(End);
@@ -195,299 +646,45 @@ RunResult HostMachine::run(const CodeSource &Src, int StartTb) {
         ++Counters.SyncOps;
       }
       break;
-    case HOp::Mov:
-      charge(H, 1);
-      R_[H.Dst] = aluOperand(H);
-      break;
-    case HOp::LdEnv:
-      charge(H, 1);
-      assert(H.Slot < EnvSize);
-      R_[H.Dst] = Env[H.Slot];
-      break;
-    case HOp::StEnv:
-      charge(H, 1);
-      assert(H.Slot < EnvSize);
-      Env[H.Slot] = R_[H.Src];
-      break;
-    case HOp::StEnvI:
-      charge(H, 1);
-      assert(H.Slot < EnvSize);
-      Env[H.Slot] = static_cast<uint32_t>(H.Imm);
-      break;
-
-    case HOp::Add:
-    case HOp::Adc:
-    case HOp::Sub:
-    case HOp::Sbc:
-    case HOp::Rsb:
-    case HOp::Cmp:
-    case HOp::Cmn: {
-      charge(H, 1);
-      const uint32_t A = R_[H.Dst];
-      const uint32_t Bv = aluOperand(H);
-      uint32_t Lhs = A, Rhs = Bv, CarryIn = 0;
-      switch (H.Op) {
-      case HOp::Add:
-      case HOp::Cmn:
-        break;
-      case HOp::Adc:
-        CarryIn = FC;
-        break;
-      case HOp::Sub:
-      case HOp::Cmp:
-        Rhs = ~Bv;
-        CarryIn = 1;
-        break;
-      case HOp::Sbc:
-        Rhs = ~Bv;
-        CarryIn = FC;
-        break;
-      case HOp::Rsb:
-        Lhs = Bv;
-        Rhs = ~A;
-        CarryIn = 1;
-        break;
-      default:
-        break;
-      }
-      const uint64_t Wide =
-          static_cast<uint64_t>(Lhs) + static_cast<uint64_t>(Rhs) + CarryIn;
-      const uint32_t Result = static_cast<uint32_t>(Wide);
-      if (H.SetFlags || H.Op == HOp::Cmp || H.Op == HOp::Cmn) {
-        FN = Result >> 31;
-        FZ = Result == 0;
-        FC = Wide != Result;
-        const int64_t SWide =
-            static_cast<int64_t>(static_cast<int32_t>(Lhs)) +
-            static_cast<int64_t>(static_cast<int32_t>(Rhs)) + CarryIn;
-        FV = SWide != static_cast<int32_t>(Result);
-      }
-      if (H.Op != HOp::Cmp && H.Op != HOp::Cmn)
-        R_[H.Dst] = Result;
-      break;
-    }
-
-    case HOp::And:
-    case HOp::Or:
-    case HOp::Xor:
-    case HOp::Bic:
-    case HOp::Test: {
-      charge(H, 1);
-      const uint32_t A = R_[H.Dst];
-      const uint32_t Bv = aluOperand(H);
-      uint32_t Result = 0;
-      switch (H.Op) {
-      case HOp::And:
-      case HOp::Test:
-        Result = A & Bv;
-        break;
-      case HOp::Or:
-        Result = A | Bv;
-        break;
-      case HOp::Xor:
-        Result = A ^ Bv;
-        break;
-      case HOp::Bic:
-        Result = A & ~Bv;
-        break;
-      default:
-        break;
-      }
-      if (H.SetFlags || H.Op == HOp::Test) {
-        FN = Result >> 31;
-        FZ = Result == 0;
-      }
-      if (H.Op != HOp::Test)
-        R_[H.Dst] = Result;
-      break;
-    }
-
-    case HOp::Shl:
-    case HOp::Shr:
-    case HOp::Sar:
-    case HOp::Ror: {
-      charge(H, 1);
-      const uint32_t A = R_[H.Dst];
-      const uint32_t Amount = aluOperand(H) & 0xFF;
-      uint32_t Result = A;
-      bool CarryOut = FC;
-      if (Amount != 0) {
-        const unsigned Amt = Amount > 32 ? 32 : Amount;
-        switch (H.Op) {
-        case HOp::Shl:
-          Result = Amount >= 32 ? 0 : A << Amount;
-          CarryOut = Amount > 32 ? 0 : (A >> (32 - Amt)) & 1;
-          break;
-        case HOp::Shr:
-          Result = Amount >= 32 ? 0 : A >> Amount;
-          CarryOut = Amount > 32 ? 0 : (A >> (Amt - 1)) & 1;
-          break;
-        case HOp::Sar: {
-          const unsigned Eff = Amount >= 32 ? 31 : Amount;
-          Result = static_cast<uint32_t>(static_cast<int32_t>(A) >>
-                                         static_cast<int32_t>(Eff));
-          if (Amount >= 32)
-            Result = A >> 31 ? 0xFFFFFFFFu : 0;
-          CarryOut = Amount >= 32 ? (A >> 31) & 1 : (A >> (Amount - 1)) & 1;
-          break;
-        }
-        case HOp::Ror:
-          Result = rotr32(A, Amount);
-          CarryOut = (Result >> 31) & 1;
-          break;
-        default:
-          break;
-        }
-        if (H.SetFlags) {
-          FN = Result >> 31;
-          FZ = Result == 0;
-          FC = CarryOut;
-        }
-      }
-      R_[H.Dst] = Result;
-      break;
-    }
-
-    case HOp::Neg:
-      charge(H, 1);
-      R_[H.Dst] = 0u - R_[H.Dst];
-      if (H.SetFlags) {
-        FN = R_[H.Dst] >> 31;
-        FZ = R_[H.Dst] == 0;
-      }
-      break;
-    case HOp::Not:
-      charge(H, 1);
-      R_[H.Dst] = ~R_[H.Dst];
-      break;
-    case HOp::Mul: {
-      charge(H, 1);
-      const uint32_t Result = R_[H.Dst] * aluOperand(H);
-      R_[H.Dst] = Result;
-      if (H.SetFlags) {
-        FN = Result >> 31;
-        FZ = Result == 0;
-      }
-      break;
-    }
-    case HOp::MulLU:
-    case HOp::MulLS: {
-      charge(H, 1);
-      uint64_t Wide;
-      if (H.Op == HOp::MulLU)
-        Wide = static_cast<uint64_t>(R_[H.Dst]) *
-               static_cast<uint64_t>(R_[H.Src]);
-      else
-        Wide = static_cast<uint64_t>(
-            static_cast<int64_t>(static_cast<int32_t>(R_[H.Dst])) *
-            static_cast<int64_t>(static_cast<int32_t>(R_[H.Src])));
-      R_[H.Dst] = static_cast<uint32_t>(Wide);
-      R_[H.Src2] = static_cast<uint32_t>(Wide >> 32);
-      if (H.SetFlags) {
-        FN = (Wide >> 63) & 1;
-        FZ = Wide == 0;
-      }
-      break;
-    }
-    case HOp::Clz:
-      charge(H, 1);
-      R_[H.Dst] = countLeadingZeros32(R_[H.Src]);
-      break;
-
-    case HOp::SetCc:
-      charge(H, 1);
-      R_[H.Dst] = hcondHolds(H.Cc, FN, FZ, FC, FV) ? 1u : 0u;
-      break;
-    case HOp::PackF:
-      charge(H, 2);
-      R_[H.Dst] = packedFlags();
-      break;
-    case HOp::UnpackF:
-      charge(H, 2);
-      setPackedFlags(R_[H.Dst]);
-      break;
-
     case HOp::Jcc:
       charge(H, 1);
       if (hcondHolds(H.Cc, FN, FZ, FC, FV)) {
-        assert(H.Target >= 0 && "unresolved jump target");
         I = static_cast<size_t>(H.Target);
         continue;
       }
       break;
     case HOp::Jmp:
       charge(H, 1);
-      assert(H.Target >= 0 && "unresolved jump target");
       I = static_cast<size_t>(H.Target);
       continue;
-
-    case HOp::TlbCmp: {
-      charge(H, 1);
-      const uint32_t Tag = tlbWord(R_[H.Src], H.AccIsWrite ? 1 : 0);
-      const uint32_t Vpn = R_[H.Src2];
-      const uint32_t Result = Tag - Vpn;
-      FN = Result >> 31;
-      FZ = Result == 0;
-      FC = Tag >= Vpn;
-      FV = (((Tag ^ Vpn) & (Tag ^ Result)) >> 31) & 1;
-      break;
-    }
-    case HOp::TlbPhys:
-      charge(H, 1);
-      R_[H.Dst] = tlbWord(R_[H.Src], 2);
-      break;
-
-    case HOp::GLoad: {
-      charge(H, 1);
-      uint32_t Value = 0;
-      [[maybe_unused]] const bool Ok = Mem.read(R_[H.Src], H.Size, Value);
-      assert(Ok && "GLoad after TLB hit must target RAM");
-      R_[H.Dst] = Value;
-      break;
-    }
-    case HOp::GStore: {
-      charge(H, 1);
-      [[maybe_unused]] const bool Ok =
-          Mem.write(R_[H.Src], H.Size, R_[H.Dst]);
-      assert(Ok && "GStore after TLB hit must target RAM");
-      break;
-    }
-
     case HOp::CallHelper: {
-      charge(H, 3); // call + ret + argument setup
-      ++Counters.HelperCalls;
-      HelperHandler::Outcome Out =
-          Helpers.call(H.Helper, R_[H.Src], R_[H.Src2], H.GuestPc);
-      charge(H, Out.Cost);
-      if (Out.HasResult)
-        R_[H.Dst] = Out.Result;
+      charge(H, opCost(H.Op));
+      const HelperHandler::Outcome Out = callHelper(H);
       if (Out.Exit)
         return {Out.Reason, 0, CurTb, 0};
       break;
     }
-
     case HOp::ChainSlot: {
       charge(H, 1); // the direct jump (patched, or falls to the epilogue)
-      const int Next = L->Target[H.Imm];
+      const int Next = T.Links->Target[H.Imm];
       if (Next < 0)
         break; // unresolved: fall through into the exit epilogue
+      if (!enterBlock(Src, Next, T))
+        return {ExitReason::InvalidBlock, 0, Next, 0};
       CurTb = Next;
-      B = Src.block(CurTb);
-      assert(B && "chained to a flushed TB");
-      L = &Src.links(CurTb);
-      I = 0;
       ++Counters.ChainFollows;
-      EnterBlock(B, CurTb);
+      I = 0;
       continue;
     }
-
-    case HOp::ExitTb: {
+    case HOp::ExitTb:
       charge(H, 1);
-      const auto Reason = static_cast<ExitReason>(H.Imm);
       // For NeedTranslate exits the chain slot to patch rides in Src and
       // the target guest PC was stored to the env PC by the exit glue.
-      return {Reason, 0, CurTb, H.Src};
-    }
+      return {static_cast<ExitReason>(H.Imm), 0, CurTb, H.Src};
+    default:
+      charge(H, opCost(H.Op));
+      exec(H);
+      break;
     }
     ++I;
   }

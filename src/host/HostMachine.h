@@ -14,7 +14,9 @@
 /// The machine follows resolved chain slots directly from TB to TB (block
 /// chaining), charges helper calls with the cost the helper reports, and
 /// carries the wall-clock deadline of the device model so interrupts
-/// arrive asynchronously while translated code runs.
+/// arrive asynchronously while translated code runs. Blocks with a
+/// lowered form (host/HostLowering.h) run segment by segment wherever
+/// that is exact, and op by op everywhere else (DESIGN.md §15).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +24,7 @@
 #define RDBT_HOST_HOSTMACHINE_H
 
 #include "host/HostInst.h"
+#include "host/HostLowering.h"
 
 #include <cstdint>
 #include <vector>
@@ -62,15 +65,25 @@ public:
   virtual uint64_t onWall(uint64_t Now) = 0;
 };
 
-/// Read-only view of translated blocks and their link state, for chain
-/// following.
+/// What the host machine needs to run one block: the block, the source's
+/// link state for it, and its lowered form once it has one. A null Block
+/// means the id names no block that may run.
+struct TbView {
+  const HostBlock *Block = nullptr;
+  const ChainLinks *Links = nullptr;
+  const LoweredBlock *Lowered = nullptr; ///< null: run it op by op
+};
+
+/// The translated blocks the machine runs and follows chains through.
 class CodeSource {
 public:
   virtual ~CodeSource();
-  virtual const HostBlock *block(int TbId) const = 0;
-  /// Link state of the live block \p TbId; valid until the source next
-  /// inserts, links or drops a block.
-  virtual const ChainLinks &links(int TbId) const = 0;
+  /// Enters block \p TbId: called once per run start and once per chain
+  /// follow, so a source can count entries and lower a block when it
+  /// turns hot (CodeCache does on the second entry). The view is valid
+  /// until the source next inserts, links or drops a block. A null Block
+  /// stops the run with ExitReason::InvalidBlock.
+  virtual TbView enter(int TbId) = 0;
 };
 
 /// Execution counters, attributed by CostClass.
@@ -106,8 +119,11 @@ public:
               uint32_t TlbBaseSlot, uint32_t TlbEntryWords,
               uint32_t TlbHalfEntries);
 
-  /// Runs translated code starting at \p StartTb until an exit.
-  RunResult run(const CodeSource &Src, int StartTb);
+  /// Runs translated code starting at \p StartTb until an exit. A block
+  /// with a lowered form runs segment by segment wherever a whole segment
+  /// fits before NextDeadline and MaxInstrsPerRun, and op by op
+  /// everywhere else; every counter comes out the same either way.
+  RunResult run(CodeSource &Src, int StartTb);
 
   uint32_t reg(unsigned R) const { return R_[R]; }
   void setReg(unsigned R, uint32_t V) { R_[R] = V; }
@@ -142,6 +158,29 @@ private:
     return H.UseImm ? static_cast<uint32_t>(H.Imm) : R_[H.Src];
   }
   uint32_t tlbWord(uint32_t Index, uint32_t FieldWord) const;
+
+  /// Enters \p Tb as the current block \p T; false if it may not run.
+  bool enterBlock(CodeSource &Src, int Tb, TbView &T);
+  /// Runs \p T's lowered segments from the one starting at \p I. Returns
+  /// true with \p Res once the run is over, or false with \p I where the
+  /// op-by-op path continues: a segment that does not fit, or op 0 of an
+  /// unlowered block it chained into.
+  bool runLowered(CodeSource &Src, TbView &T, int &CurTb, size_t &I,
+                  uint64_t &Executed, RunResult &Res);
+
+  // The semantics of each op, written once and run by both executors.
+  void exec(const HInst &H); ///< any op that is not a marker or control op
+  void ldEnv(uint8_t Dst, uint32_t Slot);
+  void stEnv(uint32_t Slot, uint32_t V);
+  void addSub(HOp Op, bool SetFlags, uint8_t Dst, uint32_t Operand);
+  void logic(HOp Op, bool SetFlags, uint8_t Dst, uint32_t Operand);
+  void shift(HOp Op, bool SetFlags, uint8_t Dst, uint32_t Operand);
+  void tlbCmp(uint8_t IdxReg, uint8_t VpnReg, bool IsWrite);
+  void gLoad(uint8_t Dst, uint8_t AddrReg, unsigned Size);
+  void gStore(uint8_t DataReg, uint8_t AddrReg, unsigned Size);
+  /// Calls \p H's helper and charges what it reports (the call overhead
+  /// is charged by the caller, with the op).
+  HelperHandler::Outcome callHelper(const HInst &H);
 };
 
 } // namespace host

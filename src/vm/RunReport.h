@@ -56,8 +56,9 @@ struct RunReport {
   bool Ok = false;
 
   /// Non-empty when the session never ran (unknown kind/workload, corpus
-  /// load failure, ...). Batch drivers surface this per matrix cell
-  /// instead of aborting the whole sweep.
+  /// load failure, ...) or stopped on host code that failed verification
+  /// (StopReason::InvalidCode). Batch drivers surface this per matrix
+  /// cell instead of aborting the whole sweep.
   std::string Error;
 
   /// The scenario that produced this report (VmConfig::toSpec()) plus

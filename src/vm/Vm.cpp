@@ -413,6 +413,8 @@ RunReport Vm::run(uint64_t WallBudget) {
     R.InterpDecodeMisses = NativeDecodeMisses_;
   } else {
     R.Stop = Engine_->run(WallBudget);
+    if (R.Stop == dbt::StopReason::InvalidCode)
+      R.Error = Engine_->codeCache().lowerError();
     R.Counters = Engine_->counters();
     R.InterpDecodeHits = Engine_->interp().DecodeHits;
     R.InterpDecodeMisses = Engine_->interp().DecodeMisses;

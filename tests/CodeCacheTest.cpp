@@ -16,8 +16,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "dbt/CodeCache.h"
+#include "dbt/Engine.h"
 #include "guestsw/MiniKernel.h"
 #include "guestsw/Workloads.h"
+#include "host/HostEmitter.h"
+#include "ir/QemuTranslator.h"
+#include "sys/Env.h"
+#include "vm/TranslatorRegistry.h"
 #include "vm/Vm.h"
 
 #include <gtest/gtest.h>
@@ -264,6 +269,140 @@ TEST(CodeCache, FindAfterPartialFlushKeepsSurvivors) {
     }
   }
   EXPECT_EQ(C.size(), 4u);
+}
+
+//===----------------------------------------------------------------------===//
+// Lowered forms: built on a block's second entry, kept beside its links,
+// shared with forks, dropped with the block.
+//===----------------------------------------------------------------------===//
+
+/// A block both executors may run: one mov, then an exit.
+std::shared_ptr<const host::HostBlock> makeRunnable(uint32_t GuestPc) {
+  auto B = std::make_shared<host::HostBlock>();
+  B->GuestPc = GuestPc;
+  B->NumGuestInstrs = 1;
+  host::HostEmitter E(*B);
+  E.movRI(0, 1);
+  E.exitTb(host::ExitReason::Lookup);
+  return B;
+}
+
+TEST(CodeCacheLowering, BlockIsLoweredOnItsSecondEntry) {
+  CodeCache C;
+  const int A = C.insert(makeRunnable(0x1000), 0, 0);
+  const host::TbView First = C.enter(A);
+  EXPECT_EQ(First.Block, C.block(A));
+  EXPECT_EQ(First.Links, &C.links(A));
+  EXPECT_EQ(First.Lowered, nullptr);
+  EXPECT_EQ(C.lowered(A), nullptr) << "a block entered once stays unlowered";
+  const host::TbView Second = C.enter(A);
+  ASSERT_NE(Second.Lowered, nullptr);
+  EXPECT_EQ(Second.Lowered, C.lowered(A));
+  EXPECT_EQ(C.enter(A).Lowered, Second.Lowered) << "lowered once, then kept";
+}
+
+TEST(CodeCacheLowering, ForkSharesLoweredFormsAndReLowersNothing) {
+  CodeCache Master;
+  const int A = Master.insert(makeRunnable(0x1000), 0, 0);
+  const int B = Master.insert(makeRunnable(0x2000), 0, 0);
+  Master.enter(A);
+  Master.enter(A);
+  Master.enter(B);
+  const auto Img = Master.capture();
+  ASSERT_NE(Img->Entries[A].Lowered, nullptr);
+
+  CodeCache Fork;
+  Fork.adopt(*Img);
+  EXPECT_EQ(Fork.lowered(A), Master.lowered(A));
+  EXPECT_EQ(Fork.lowered(A), Img->Entries[A].Lowered.get());
+  EXPECT_EQ(Fork.enter(A).Lowered, Img->Entries[A].Lowered.get())
+      << "the fork runs the image's lowered form; it lowers nothing anew";
+  // B's entry count came along: the fork's first entry is B's second.
+  EXPECT_NE(Fork.enter(B).Lowered, nullptr);
+  EXPECT_EQ(Master.lowered(B), nullptr) << "a fork's lowering stays its own";
+  EXPECT_EQ(Img->Entries[B].Lowered, nullptr);
+}
+
+TEST(CodeCacheLowering, InvalidationAndFlushDropTheLoweredForm) {
+  CodeCache C;
+  const int A = C.insert(makeRunnable(0x1000), 0, 0);
+  const int B = C.insert(makeRunnable(0x5000), 0, 0);
+  for (const int Id : {A, A, B, B})
+    C.enter(Id);
+  // Watch A's lowered form through a weak pointer: only the cache owns it.
+  std::weak_ptr<const host::LoweredBlock> LowA = C.capture()->Entries[A].Lowered;
+  ASSERT_FALSE(LowA.expired());
+
+  C.invalidatePage(0x1000);
+  EXPECT_EQ(C.lowered(A), nullptr);
+  EXPECT_TRUE(LowA.expired()) << "an invalidated block's lowered form is freed";
+  EXPECT_EQ(C.enter(A).Block, nullptr);
+  EXPECT_NE(C.lowered(B), nullptr) << "other pages keep theirs";
+
+  C.flush();
+  EXPECT_EQ(C.lowered(B), nullptr);
+  EXPECT_EQ(C.enter(B).Block, nullptr);
+}
+
+TEST(CodeCacheLowering, BlockThatFailsVerificationIsNeverLoweredOrRunAgain) {
+  CodeCache C;
+  // makeBlock's four nops fall off the block's end.
+  const int A = C.insert(makeBlock(0x1000), 0, 0);
+  EXPECT_NE(C.enter(A).Block, nullptr); // the first entry is not checked
+  const host::TbView Second = C.enter(A);
+  EXPECT_EQ(Second.Block, nullptr);
+  EXPECT_EQ(C.lowered(A), nullptr);
+  EXPECT_NE(C.lowerError().find("block can fall off its end"),
+            std::string::npos)
+      << C.lowerError();
+  EXPECT_EQ(C.enter(A).Block, nullptr);
+}
+
+/// Qemu's translation plus an unreachable op with an env slot past the
+/// end of env: harmless on a block's first run, refused when lowered.
+class UnverifiableTranslator final : public Translator {
+public:
+  const char *name() const override { return "unverifiable"; }
+  void translate(const GuestBlock &GB, host::HostBlock &Out) override {
+    Inner.translate(GB, Out);
+    host::HostEmitter E(Out);
+    E.stEnv(static_cast<uint16_t>(sys::envWordCount()), 0);
+    E.exitTb(host::ExitReason::Lookup);
+  }
+  EntryStub entryStub() const override { return Inner.entryStub(); }
+
+private:
+  ir::QemuTranslator Inner;
+};
+
+TEST(CodeCacheLowering, SessionStopsWithAnErrorOnUnverifiableCode) {
+  sys::Platform Board(guestsw::KernelLayout::MinRam);
+  ASSERT_TRUE(guestsw::setupGuest(Board, "cpu-prime", 1));
+  UnverifiableTranslator Xlat;
+  DbtEngine Engine(Board, Xlat);
+  EXPECT_EQ(Engine.run(1ull << 40), StopReason::InvalidCode);
+  EXPECT_NE(Engine.codeCache().lowerError().find("env slot out of range"),
+            std::string::npos)
+      << Engine.codeCache().lowerError();
+  EXPECT_FALSE(Board.ShutdownRequested);
+
+  // The session facade turns the stop into an error report.
+  vm::TranslatorRegistry::KindInfo K;
+  K.Name = "test:unverifiable";
+  K.Label = "unverifiable";
+  K.MetricKey = "unverifiable";
+  K.Make = [](const vm::TranslatorRegistry::Context &) {
+    return std::unique_ptr<Translator>(new UnverifiableTranslator);
+  };
+  vm::TranslatorRegistry::global().registerKind(K);
+  vm::Vm V(vm::VmConfig().translator("test:unverifiable").workload(
+      "cpu-prime"));
+  ASSERT_TRUE(V.valid()) << V.error();
+  const vm::RunReport R = V.run();
+  EXPECT_EQ(R.Stop, StopReason::InvalidCode);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("failed verification"), std::string::npos)
+      << R.Error;
 }
 
 //===----------------------------------------------------------------------===//

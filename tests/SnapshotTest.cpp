@@ -230,6 +230,46 @@ TEST(Snapshot, ForksCannotObserveEachOthersWrites) {
   EXPECT_EQ(HashBefore, hashImage(Snap.ramImage()));
 }
 
+/// The entries of \p V's code cache, lowered forms included.
+std::shared_ptr<const dbt::CodeCache::Image> cacheOf(vm::Vm &V) {
+  return V.engine()->codeCache().capture();
+}
+
+TEST(Snapshot, ForksRunTheImagesLoweredFormsAndReLowerNothing) {
+  vm::Vm Master(cfgFor("rule:scheduling", "fileio"));
+  ASSERT_TRUE(Master.valid()) << Master.error();
+  Master.runToBootMark();
+  const vm::Snapshot Snap = Master.capture();
+  const auto Image = cacheOf(Master);
+  size_t Lowered = 0;
+  for (const dbt::CacheEntry &E : Image->Entries)
+    Lowered += E.Lowered != nullptr;
+  ASSERT_GT(Lowered, 0u) << "booting must have lowered the hot blocks";
+
+  vm::Vm Fork(vm::VmConfig(cfgFor("rule:scheduling", "fileio"))
+                  .snapshot(&Snap));
+  ASSERT_TRUE(Fork.valid()) << Fork.error();
+  const auto Adopted = cacheOf(Fork);
+  ASSERT_EQ(Adopted->Entries.size(), Image->Entries.size());
+  for (size_t I = 0; I < Image->Entries.size(); ++I)
+    EXPECT_EQ(Adopted->Entries[I].Lowered, Image->Entries[I].Lowered) << I;
+
+  ASSERT_TRUE(Fork.run().Ok);
+  // Every block the image had lowered and the fork still holds runs the
+  // image's very lowered form: the fork lowered none of them again.
+  const auto After = cacheOf(Fork);
+  size_t Kept = 0;
+  for (size_t I = 0; I < Image->Entries.size(); ++I) {
+    const dbt::CacheEntry &E = Image->Entries[I];
+    if (!E.Lowered || After->BaseId != Image->BaseId ||
+        !After->Entries[I].Block)
+      continue;
+    EXPECT_EQ(After->Entries[I].Lowered, E.Lowered) << I;
+    ++Kept;
+  }
+  EXPECT_GT(Kept, 0u);
+}
+
 TEST(Snapshot, ConcurrentForksAreIsolatedAndDeterministic) {
   // The serving pattern under contention: one warm snapshot, a batch of
   // forks on a worker pool. Every fork must finish bitwise-identically
@@ -243,6 +283,13 @@ TEST(Snapshot, ConcurrentForksAreIsolatedAndDeterministic) {
   Master.runToBootMark();
   const vm::Snapshot Snap = Master.capture();
   const uint64_t HashBefore = hashImage(Snap.ramImage());
+  // The forks share the image's lowered forms, read-only, while each
+  // lowers its own newly hot blocks.
+  const auto Image = cacheOf(Master);
+  size_t Lowered = 0;
+  for (const dbt::CacheEntry &E : Image->Entries)
+    Lowered += E.Lowered != nullptr;
+  ASSERT_GT(Lowered, 0u);
 
   const std::vector<vm::VmConfig> Configs(
       8, vm::VmConfig(cfgFor("rule:scheduling", "fileio")).snapshot(&Snap));

@@ -408,6 +408,8 @@ TEST(StopReason, NamesAreDistinct) {
             "deadlock");
   EXPECT_EQ(std::string(dbt::toString(dbt::StopReason::Runaway)),
             "runaway");
+  EXPECT_EQ(std::string(dbt::toString(dbt::StopReason::InvalidCode)),
+            "invalid host code");
 }
 
 } // namespace
